@@ -148,10 +148,15 @@ bool read_word(const JsonValue& obj, string_view key,
         if (!options.empty()) {
             options += ", ";
         }
-        options += "\"" + std::string(word) + "\"";
+        options += '"';
+        options += word;
+        options += '"';
     }
-    fail(error, error_code::kBadRequest,
-         "member \"" + std::string(key) + "\" must be one of " + options);
+    std::string message = "member \"";
+    message += key;
+    message += "\" must be one of ";
+    message += options;
+    fail(error, error_code::kBadRequest, std::move(message));
     return false;
 }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <ostream>
 
+#include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
 
@@ -102,9 +103,9 @@ MetricsRegistry::Entry& MetricsRegistry::get_or_create(std::string_view name,
     const auto it = index_.find(std::string{name});
     if (it != index_.end()) {
         Entry& entry = *entries_[it->second];
-        require(entry.kind == kind,
-                "MetricsRegistry: name already registered as a different kind: " +
-                    entry.name);
+        SWARMAVAIL_REQUIRE(entry.kind == kind,
+                           "MetricsRegistry: name already registered as a different kind: " +
+                               entry.name);
         return entry;
     }
     entries_.push_back(std::make_unique<Entry>(std::string{name}, kind));
@@ -136,10 +137,11 @@ HistogramMetric& MetricsRegistry::histogram(std::string_view name, double lo,
     if (entry.histogram == nullptr) {
         entry.histogram = std::make_unique<HistogramMetric>(lo, hi, bins, scale);
     } else {
-        require(entry.histogram->bins() == bins && entry.histogram->scale() == scale &&
-                    entry.histogram->lo() == lo && entry.histogram->hi() == hi,
-                "MetricsRegistry::histogram: shape differs from first registration: " +
-                    entry.name);
+        SWARMAVAIL_REQUIRE(
+            entry.histogram->bins() == bins && entry.histogram->scale() == scale &&
+                entry.histogram->lo() == lo && entry.histogram->hi() == hi,
+            "MetricsRegistry::histogram: shape differs from first registration: " +
+                entry.name);
     }
     return *entry.histogram;
 }

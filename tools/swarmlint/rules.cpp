@@ -82,11 +82,12 @@ void check_det_rand(RuleContext& ctx) {
         if (ctx.file.is_directive_line(line)) {
             return;
         }
-        ctx.report("det-rand", line,
-                   "'" + std::string(name) +
-                       "' bypasses the seeded Rng stream; draw randomness through "
-                       "util/random (swarmavail::Rng) so one 64-bit seed fully "
-                       "determines a run");
+        std::string message = "'";
+        message += name;
+        message +=
+            "' bypasses the seeded Rng stream; draw randomness through "
+            "util/random (swarmavail::Rng) so one 64-bit seed fully determines a run";
+        ctx.report("det-rand", line, std::move(message));
     });
 }
 
@@ -292,11 +293,12 @@ void check_det_env(RuleContext& ctx) {
         if (ctx.file.is_directive_line(line)) {
             return;
         }
-        ctx.report("det-env", line,
-                   "'" + std::string(name) +
-                       "' makes results depend on the host environment or thread "
-                       "identity; engine output must be a function of (config, "
-                       "seed) only");
+        std::string message = "'";
+        message += name;
+        message +=
+            "' makes results depend on the host environment or thread identity; "
+            "engine output must be a function of (config, seed) only";
+        ctx.report("det-env", line, std::move(message));
     });
 }
 

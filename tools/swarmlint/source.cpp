@@ -136,7 +136,7 @@ SourceFile SourceFile::parse(std::string path, std::string_view content) {
                             mode = Mode::kString;
                             break;
                         }
-                        raw_delim = ")";
+                        raw_delim.assign(1, ')');
                         raw_delim.append(content.substr(i + 1, delim_end - i - 1));
                         raw_delim.push_back('"');
                         out.code_[i] = '"';
