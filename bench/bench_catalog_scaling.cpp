@@ -1,6 +1,5 @@
 // Catalog-engine scaling benchmark: whole-catalog simulation throughput
-// (files/s) at 1k and 10k files, sweeping the sharded thread count, plus
-// the single-threaded shared-queue engine as the multiplexing baseline.
+// (files/s) at 1k and 10k files, sweeping the thread count.
 // Items/s is catalog files simulated per second; the `threads` counter lets
 // scripts/bench.sh compute speedup curves for BENCH_perf.json. These are
 // engineering numbers for the perf trajectory, not paper results.
@@ -66,25 +65,5 @@ void BM_CatalogSharded(benchmark::State& state) {
     state.counters["threads"] = static_cast<double>(threads);
 }
 BENCHMARK(BM_CatalogSharded)->Apply(scaling_args);
-
-void BM_CatalogSharedQueue(benchmark::State& state) {
-    const auto files = static_cast<std::size_t>(state.range(0));
-    const auto catalog = make_catalog(files);
-    const catalog::FixedK policy{8};
-    auto config = engine_config(1);
-    config.execution = catalog::ExecutionMode::kSharedQueue;
-    for (auto _ : state) {
-        const auto report = catalog::run_catalog(catalog, policy, config);
-        benchmark::DoNotOptimize(report.arrivals);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(files));
-}
-BENCHMARK(BM_CatalogSharedQueue)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->ArgName("files")
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -26,7 +26,7 @@
 // stage breakdown of any request slower than M milliseconds end-to-end to
 // the --slow-log file (stderr-less, JSONL) as it finishes; --span-ring
 // sets the records retained per thread ring. All five are ignored in
-// trace-off builds (SWARMAVAIL_SPANS_DISABLED).
+// trace-off builds (SWARMAVAIL_OBSERVE_DISABLED).
 #include <csignal>
 #include <cstdlib>
 #include <fstream>

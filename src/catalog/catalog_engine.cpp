@@ -1,7 +1,6 @@
 #include "catalog/catalog_engine.hpp"
 
 #include <atomic>
-#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -33,91 +32,16 @@ std::vector<sim::AvailabilitySimConfig> swarm_configs(const Catalog& catalog,
 
 /// Announces a catalog run to an attached session: total swarm count and
 /// the simulated seconds the run intends to execute.
-void publish_run_shape(const CatalogEngineConfig& config, std::size_t swarms) {
-#if !defined(SWARMAVAIL_TELEMETRY_DISABLED)
+void publish_run_shape([[maybe_unused]] const CatalogEngineConfig& config,
+                       [[maybe_unused]] std::size_t swarms) {
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     if (config.telemetry != nullptr) {
         telemetry::RunCounters& counters = config.telemetry->counters();
         counters.swarms_total.fetch_add(swarms, std::memory_order_relaxed);
         telemetry::atomic_add(counters.sim_time_target,
                               config.horizon * static_cast<double>(swarms));
     }
-#else
-    (void)config;
-    (void)swarms;
 #endif
-}
-
-/// The multiplexed engine: every swarm's process on one queue, one thread.
-/// With telemetry attached the horizon is walked in slices — run_until(t1);
-/// run_until(t2) dispatches exactly the events run_until(t2) would, so the
-/// sample path is untouched — publishing queue depth and dispatch/sim-time
-/// deltas between slices.
-std::vector<sim::AvailabilitySimResult> run_shared_queue(
-    const std::vector<sim::AvailabilitySimConfig>& configs,
-    const CatalogEngineConfig& config) {
-    SWARMAVAIL_PROF_SCOPE("catalog.shared_queue");
-    sim::EventQueue queue;
-    queue.set_audit(config.debug_audit);
-    std::vector<std::unique_ptr<sim::AvailabilityProcess>> processes;
-    processes.reserve(configs.size());
-    for (const sim::AvailabilitySimConfig& swarm_config : configs) {
-        processes.push_back(
-            std::make_unique<sim::AvailabilityProcess>(queue, swarm_config));
-    }
-    for (auto& process : processes) {
-        process->start();
-    }
-    try {
-#if !defined(SWARMAVAIL_TELEMETRY_DISABLED)
-        if (config.telemetry != nullptr) {
-            telemetry::RunCounters& counters = config.telemetry->counters();
-            const std::size_t swarms = configs.size();
-            constexpr int kSlices = 64;
-            std::uint64_t prev_dispatched = 0;
-            double prev_now = queue.now();
-            for (int slice = 1; slice <= kSlices; ++slice) {
-                queue.run_until(slice == kSlices ? config.horizon
-                                                 : config.horizon *
-                                                       static_cast<double>(slice) /
-                                                       static_cast<double>(kSlices));
-                counters.events_dispatched.fetch_add(
-                    queue.dispatched() - prev_dispatched, std::memory_order_relaxed);
-                prev_dispatched = queue.dispatched();
-                telemetry::atomic_add(counters.sim_time_advanced,
-                                      (queue.now() - prev_now) *
-                                          static_cast<double>(swarms));
-                prev_now = queue.now();
-                counters.queue_depth.store(static_cast<double>(queue.size()),
-                                           std::memory_order_relaxed);
-            }
-        } else {
-            queue.run_until(config.horizon);
-        }
-#else
-        queue.run_until(config.horizon);
-#endif
-    } catch (const CheckFailure& failure) {
-        trace_check_failure(config.tracer, queue.now(), failure);
-        throw;
-    }
-    std::vector<sim::AvailabilitySimResult> results;
-    results.reserve(processes.size());
-    for (auto& process : processes) {
-        results.push_back(process->finish());
-        SWARMAVAIL_TELEMETRY(config.telemetry,
-                             counters().swarms_completed.fetch_add(
-                                 1, std::memory_order_relaxed));
-        SWARMAVAIL_TELEMETRY(config.telemetry,
-                             tracker().observe(kUnavailabilityTrack,
-                                               results.back().arrival_unavailability));
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
-        SWARMAVAIL_TELEMETRY(config.telemetry,
-                             counters().fingerprint_xor.fetch_xor(
-                                 results.back().fingerprint,
-                                 std::memory_order_relaxed));
-#endif
-    }
-    return results;
 }
 
 /// A sharded run's output: per-swarm results plus which swarms actually
@@ -147,7 +71,7 @@ ShardedRun run_sharded(const std::vector<sim::AvailabilitySimConfig>& configs,
     StreamingStats observed;  // completion-order; drives the stop decision only
 
     telemetry::RunCounters* counters = nullptr;
-#if !defined(SWARMAVAIL_TELEMETRY_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     if (config.telemetry != nullptr) {
         counters = &config.telemetry->counters();
     }
@@ -170,27 +94,17 @@ ShardedRun run_sharded(const std::vector<sim::AvailabilitySimConfig>& configs,
             }
             run.results[i] = process.finish();
             run.completed[i] = 1;
-            SWARMAVAIL_TELEMETRY(config.telemetry,
-                                 counters().swarms_completed.fetch_add(
-                                     1, std::memory_order_relaxed));
-            SWARMAVAIL_TELEMETRY(config.telemetry,
-                                 counters().events_dispatched.fetch_add(
-                                     queue.dispatched(), std::memory_order_relaxed));
-#if !defined(SWARMAVAIL_TELEMETRY_DISABLED)
-            if (config.telemetry != nullptr) {
-                telemetry::atomic_add(config.telemetry->counters().sim_time_advanced,
-                                      configs[i].horizon);
-            }
-#endif
             const double unavailability = run.results[i].arrival_unavailability;
-            SWARMAVAIL_TELEMETRY(config.telemetry,
-                                 tracker().observe(kUnavailabilityTrack,
-                                                   unavailability));
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
-            SWARMAVAIL_TELEMETRY(config.telemetry,
-                                 counters().fingerprint_xor.fetch_xor(
-                                     run.results[i].fingerprint,
-                                     std::memory_order_relaxed));
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
+            if (config.telemetry != nullptr) {
+                counters->swarms_completed.fetch_add(1, std::memory_order_relaxed);
+                counters->events_dispatched.fetch_add(queue.dispatched(),
+                                                      std::memory_order_relaxed);
+                telemetry::atomic_add(counters->sim_time_advanced, configs[i].horizon);
+                config.telemetry->tracker().observe(kUnavailabilityTrack, unavailability);
+                counters->fingerprint_xor.fetch_xor(run.results[i].fingerprint,
+                                                    std::memory_order_relaxed);
+            }
 #endif
             if (stoppable) {
                 const std::lock_guard<std::mutex> lock(observed_mutex);
@@ -227,8 +141,7 @@ sim::AvailabilitySimConfig swarm_sim_config(const Catalog& catalog,
     swarm_config.seed = config.seed + swarm_index;
     swarm_config.debug_audit = config.debug_audit;
     // Per-swarm metrics stay unbound: the engine aggregates through the
-    // report instead, so shared-queue and sharded runs agree bit for bit
-    // (a shared queue would leak co-tenant depth into "avail.queue_depth").
+    // report instead, so every thread count agrees bit for bit.
     swarm_config.metrics = nullptr;
     swarm_config.tracer =
         swarm_index == config.traced_swarm ? config.tracer : nullptr;
@@ -243,9 +156,6 @@ CatalogReport run_catalog_plan(const Catalog& catalog, const SwarmPlan& plan,
     SWARMAVAIL_REQUIRE(
         config.traced_swarm == kNoTracedSwarm || config.traced_swarm < plan.size(),
         "run_catalog: traced_swarm out of range");
-    SWARMAVAIL_REQUIRE(
-        !config.stop_rule.has_value() || config.execution == ExecutionMode::kSharded,
-        "run_catalog: stop_rule requires kSharded execution");
     validate_swarm_plan(catalog, plan);
     publish_run_shape(config, plan.size());
 
@@ -256,17 +166,11 @@ CatalogReport run_catalog_plan(const Catalog& catalog, const SwarmPlan& plan,
         params.push_back(swarm_config.params);
     }
 
-    CatalogReport report;
-    if (config.execution == ExecutionMode::kSharedQueue) {
-        report = build_report(catalog, plan, params,
-                              run_shared_queue(configs, config));
-    } else {
-        ShardedRun run = run_sharded(configs, config);
-        report = run.stopped_early
-                     ? build_partial_report(catalog, plan, params,
-                                            std::move(run.results), run.completed)
-                     : build_report(catalog, plan, params, std::move(run.results));
-    }
+    ShardedRun run = run_sharded(configs, config);
+    CatalogReport report =
+        run.stopped_early ? build_partial_report(catalog, plan, params,
+                                                 std::move(run.results), run.completed)
+                          : build_report(catalog, plan, params, std::move(run.results));
     if (config.metrics != nullptr) {
         record_metrics(report, *config.metrics);
     }

@@ -2,21 +2,15 @@
 // catalog in one run.
 //
 // Given a policy's SwarmPlan, the engine builds one AvailabilityProcess per
-// swarm (seeded seed + swarm_index) and executes them either
-//
-//   - kSharded: each swarm on its own private EventQueue, fanned across
-//     sim::Parallel with per-index result buffering and index-order merge —
-//     the same determinism contract as run_replications, so every thread
-//     count (including 1) produces a bit-identical CatalogReport; or
-//   - kSharedQueue: all swarms multiplexed onto ONE EventQueue on the
-//     calling thread. Because each process draws randomness only in its own
-//     handlers from its own Rng, interleaving does not perturb any swarm's
-//     sample path: the shared-queue report is bit-identical to the sharded
-//     one (pinned by tests/catalog/test_catalog_engine.cpp).
+// swarm (seeded seed + swarm_index) and runs each swarm on its own private
+// EventQueue, fanned across sim::Parallel with per-index result buffering
+// and index-order merge — the same determinism contract as
+// run_replications, so every thread count (including 1) produces a
+// bit-identical CatalogReport.
 //
 // Swarms in the plan are statistically independent given the policy (they
-// share no peers, no publishers, no capacity), which is what makes both
-// executions exact rather than approximations of each other.
+// share no peers, no publishers, no capacity), which is what makes the
+// per-swarm split exact rather than an approximation of a joint run.
 #pragma once
 
 #include <cstddef>
@@ -40,12 +34,6 @@ class Tracer;
 
 namespace swarmavail::catalog {
 
-/// How the engine executes the per-swarm processes.
-enum class ExecutionMode {
-    kSharded,      ///< private queue per swarm, parallel fan-out (default)
-    kSharedQueue,  ///< one queue, single thread — the multiplexed engine
-};
-
 /// Sentinel: no swarm is traced.
 inline constexpr std::size_t kNoTracedSwarm = std::numeric_limits<std::size_t>::max();
 
@@ -57,9 +45,8 @@ struct CatalogEngineConfig {
     bool patient_peers = true;           ///< wait for a publisher vs leave
     double linger_time = 0.0;            ///< post-completion seeding (s)
     bool debug_audit = false;            ///< per-event invariant audits
-    ExecutionMode execution = ExecutionMode::kSharded;
-    /// Thread policy for kSharded (ignored by kSharedQueue). Results are
-    /// bit-identical at every thread count.
+    /// Thread policy for the per-swarm fan-out. Results are bit-identical
+    /// at every thread count.
     sim::ParallelPolicy policy{};
     /// Optional registry receiving the "catalog.*" aggregates (see
     /// report.hpp record_metrics). Must outlive the call.
@@ -73,23 +60,22 @@ struct CatalogEngineConfig {
     /// Optional live-telemetry session. Pure observer: swarm progress,
     /// dispatched-event and sim-time counters, and per-swarm arrival
     /// unavailability (tracked as "catalog.swarm_unavailability") are
-    /// published as swarms complete (kSharded) or per horizon slice
-    /// (kSharedQueue); the report is bit-identical attached or detached.
+    /// published as swarms complete; the report is bit-identical attached
+    /// or detached.
     telemetry::TelemetrySession* telemetry = nullptr;
-    /// Optional early stop over per-swarm arrival unavailability (kSharded
-    /// only): once the rule is satisfied by the swarms completed so far,
-    /// remaining swarms are skipped and the report covers only the swarms
-    /// that ran (stopped_early = true, demand weights renormalized over the
-    /// covered files). Under ParallelPolicy{1} the covered prefix is
+    /// Optional early stop over per-swarm arrival unavailability: once the
+    /// rule is satisfied by the swarms completed so far, remaining swarms
+    /// are skipped and the report covers only the swarms that ran
+    /// (stopped_early = true, demand weights renormalized over the covered
+    /// files). Under ParallelPolicy{1} the covered prefix is
     /// deterministic; with more threads the cut point depends on
     /// scheduling, which is why the decision is recorded in the report.
     std::optional<telemetry::StopRule> stop_rule{};
     /// Determinism fingerprints (see sim/fingerprint.hpp): every swarm
-    /// folds its own event path process-side — queue-agnostic, so sharded
-    /// and shared-queue runs digest identically — and the report combines
-    /// the per-swarm digests in swarm-index order into one catalog-wide
+    /// folds its own event path process-side, and the report combines the
+    /// per-swarm digests in swarm-index order into one catalog-wide
     /// fingerprint. Pure observer; ignored when the build defines
-    /// SWARMAVAIL_FINGERPRINT_DISABLED.
+    /// SWARMAVAIL_OBSERVE_DISABLED.
     bool fingerprint = true;
 };
 

@@ -44,7 +44,7 @@ CatalogReport build_report_impl(const Catalog& catalog, const SwarmPlan& plan,
     double covered_demand = 0.0;
     const double total_demand =
         completed == nullptr ? catalog.total_demand() : 0.0;
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     sim::Fingerprint combined_fingerprint;
     std::uint64_t fingerprinted_swarms = 0;
 #endif
@@ -63,9 +63,9 @@ CatalogReport build_report_impl(const Catalog& catalog, const SwarmPlan& plan,
         online_fraction_sum += result.publisher_online_fraction;
         report.expected_publisher_load +=
             params[i].publisher_arrival_rate * params[i].publisher_residence;
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
         // Canonical catalog fingerprint: index-order fold of the per-swarm
-        // digests, so any execution mode / thread count that produced the
+        // digests, so any thread count that produced the
         // same per-swarm sample paths combines to the same value.
         if (result.fingerprint != 0) {
             combined_fingerprint.fold(static_cast<std::uint64_t>(i));
@@ -115,7 +115,7 @@ CatalogReport build_report_impl(const Catalog& catalog, const SwarmPlan& plan,
         report.mean_publisher_online_fraction =
             online_fraction_sum / static_cast<double>(report.swarms.size());
     }
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     if (fingerprinted_swarms > 0) {
         report.fingerprint = combined_fingerprint.digest();
     }

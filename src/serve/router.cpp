@@ -12,6 +12,7 @@
 #include "serve/json.hpp"
 #include "serve/planning.hpp"
 #include "sim/fingerprint.hpp"
+#include "util/observe.hpp"
 #include "util/telemetry.hpp"
 
 namespace swarmavail::serve {
@@ -129,7 +130,6 @@ RefineOutcome run_refine(const RefineRequest& request, std::size_t refine_thread
     config.coverage_threshold = request.coverage_threshold;
     config.patient_peers = request.patient_peers;
     config.linger_time = request.linger_time;
-    config.execution = catalog::ExecutionMode::kSharded;
     config.policy.threads = refine_threads == 0 ? 1 : refine_threads;
     if (request.stop_ci > 0.0) {
         config.stop_rule =
@@ -255,58 +255,58 @@ std::string RequestRouter::handle(const Request& request, ServeError& error,
         case Verb::kPing:
             return "{\"service\":\"swarmavail-planning\",\"protocol\":1}";
         case Verb::kEval: {
-            SWARMAVAIL_SPAN(spans, begin(SpanStage::kCache));
+            SWARMAVAIL_OBSERVE(spans, begin(SpanStage::kCache));
             const std::string key = canonical_eval_key(request.eval);
             CacheLookup lookup = CacheLookup::kHit;
             std::string fragment = model_cache_.get_or_compute(
                 key,
                 [&] {
-                    SWARMAVAIL_SPAN(spans, begin(SpanStage::kCompute));
+                    SWARMAVAIL_OBSERVE(spans, begin(SpanStage::kCompute));
                     std::string out = eval_fragment(evaluate_model(request.eval));
-                    SWARMAVAIL_SPAN(spans, end(SpanStage::kCompute));
+                    SWARMAVAIL_OBSERVE(spans, end(SpanStage::kCompute));
                     return out;
                 },
                 &lookup);
-            SWARMAVAIL_SPAN(spans, end(SpanStage::kCache));
-            SWARMAVAIL_SPAN(spans, set_cache(span_outcome(lookup)));
+            SWARMAVAIL_OBSERVE(spans, end(SpanStage::kCache));
+            SWARMAVAIL_OBSERVE(spans, set_cache(span_outcome(lookup)));
             return fragment;
         }
         case Verb::kPlan: {
-            SWARMAVAIL_SPAN(spans, begin(SpanStage::kCache));
+            SWARMAVAIL_OBSERVE(spans, begin(SpanStage::kCache));
             const std::string key = canonical_plan_key(request.plan);
             CacheLookup lookup = CacheLookup::kHit;
             std::string fragment = model_cache_.get_or_compute(
                 key,
                 [&] {
-                    SWARMAVAIL_SPAN(spans, begin(SpanStage::kCompute));
+                    SWARMAVAIL_OBSERVE(spans, begin(SpanStage::kCompute));
                     std::string out =
                         plan_fragment(request.plan, run_plan(request.plan));
-                    SWARMAVAIL_SPAN(spans, end(SpanStage::kCompute));
+                    SWARMAVAIL_OBSERVE(spans, end(SpanStage::kCompute));
                     return out;
                 },
                 &lookup);
-            SWARMAVAIL_SPAN(spans, end(SpanStage::kCache));
-            SWARMAVAIL_SPAN(spans, set_cache(span_outcome(lookup)));
+            SWARMAVAIL_OBSERVE(spans, end(SpanStage::kCache));
+            SWARMAVAIL_OBSERVE(spans, set_cache(span_outcome(lookup)));
             return fragment;
         }
         case Verb::kRefine: {
-            SWARMAVAIL_SPAN(spans, begin(SpanStage::kCache));
+            SWARMAVAIL_OBSERVE(spans, begin(SpanStage::kCache));
             const std::string key = canonical_refine_key(request.refine);
             const std::size_t threads = config_.refine_threads;
             CacheLookup lookup = CacheLookup::kHit;
             const RefineOutcome outcome = refine_cache_.get_or_compute(
                 key,
                 [&] {
-                    SWARMAVAIL_SPAN(spans, begin(SpanStage::kCompute));
+                    SWARMAVAIL_OBSERVE(spans, begin(SpanStage::kCompute));
                     RefineOutcome computed = run_refine(request.refine, threads);
                     refine_fingerprint_xor_.fetch_xor(computed.fingerprint,
                                                       std::memory_order_relaxed);
-                    SWARMAVAIL_SPAN(spans, end(SpanStage::kCompute));
+                    SWARMAVAIL_OBSERVE(spans, end(SpanStage::kCompute));
                     return computed;
                 },
                 &lookup);
-            SWARMAVAIL_SPAN(spans, end(SpanStage::kCache));
-            SWARMAVAIL_SPAN(spans, set_cache(span_outcome(lookup)));
+            SWARMAVAIL_OBSERVE(spans, end(SpanStage::kCache));
+            SWARMAVAIL_OBSERVE(spans, set_cache(span_outcome(lookup)));
             return refine_fragment(outcome);
         }
         case Verb::kStats: {
@@ -331,7 +331,7 @@ RouteResult RequestRouter::route(std::string_view payload, RequestSpans* spans) 
     Request request;
     bool parsed = false;
 
-    SWARMAVAIL_SPAN(spans, begin(SpanStage::kParse));
+    SWARMAVAIL_OBSERVE(spans, begin(SpanStage::kParse));
     if (!validate_utf8(payload)) {
         error = {std::string(error_code::kBadUtf8),
                  "request payload is not valid UTF-8"};
@@ -346,7 +346,7 @@ RouteResult RequestRouter::route(std::string_view payload, RequestSpans* spans) 
         // parse_request reads "id" before the per-verb members, so even a
         // failed parse echoes the id when one was present and in range.
     }
-    SWARMAVAIL_SPAN(spans, end(SpanStage::kParse, payload.size()));
+    SWARMAVAIL_OBSERVE(spans, end(SpanStage::kParse, payload.size()));
 
     if (parsed) {
         requests_[static_cast<std::size_t>(request.verb)].fetch_add(
@@ -357,10 +357,10 @@ RouteResult RequestRouter::route(std::string_view payload, RequestSpans* spans) 
             std::string fragment = handle(request, error, ok, spans);
             if (ok) {
                 result.ok = true;
-                SWARMAVAIL_SPAN(spans, begin(SpanStage::kSerialize));
+                SWARMAVAIL_OBSERVE(spans, begin(SpanStage::kSerialize));
                 result.payload = success_response(request, fragment);
-                SWARMAVAIL_SPAN(spans,
-                                end(SpanStage::kSerialize, result.payload.size()));
+                SWARMAVAIL_OBSERVE(spans,
+                                   end(SpanStage::kSerialize, result.payload.size()));
                 return result;
             }
         } catch (const std::invalid_argument& e) {
@@ -374,10 +374,10 @@ RouteResult RequestRouter::route(std::string_view payload, RequestSpans* spans) 
 
     errors_.fetch_add(1, std::memory_order_relaxed);
     result.ok = false;
-    SWARMAVAIL_SPAN(spans, begin(SpanStage::kSerialize));
+    SWARMAVAIL_OBSERVE(spans, begin(SpanStage::kSerialize));
     result.payload = error_payload(request.has_id, request.id, error.code,
                                    error.message);
-    SWARMAVAIL_SPAN(spans, end(SpanStage::kSerialize, result.payload.size()));
+    SWARMAVAIL_OBSERVE(spans, end(SpanStage::kSerialize, result.payload.size()));
     return result;
 }
 

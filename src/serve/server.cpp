@@ -186,7 +186,7 @@ void PlanningServer::start() {
         slots_.push_back(std::move(slot));
     }
 
-#if !defined(SWARMAVAIL_SPANS_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     const bool want_spans =
         config_.spans || config_.slow_query_seconds > 0.0 ||
         !config_.span_out.empty() || !config_.slow_query_log.empty() ||
@@ -269,7 +269,7 @@ void PlanningServer::stop() {
         }
     }
     workers_.clear();
-#if !defined(SWARMAVAIL_SPANS_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     // Producers are quiesced: drain the span rings (index order) into the
     // configured sink, then release the file-backed sinks.
     if (span_hub_ != nullptr) {
@@ -322,15 +322,15 @@ void PlanningServer::send_frame(Connection& connection, std::string_view payload
 void PlanningServer::handle_frames(const std::shared_ptr<Connection>& connection) {
     std::string payload;
     std::string decode_error;
-#if !defined(SWARMAVAIL_SPANS_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     SpanHub* hub = (span_hub_ != nullptr && span_hub_->enabled())
                        ? span_hub_.get()
                        : nullptr;
 #endif
     while (true) {
-        double decode_t0 = 0.0;
-        double decode_t1 = 0.0;
-#if !defined(SWARMAVAIL_SPANS_DISABLED)
+        [[maybe_unused]] double decode_t0 = 0.0;
+        [[maybe_unused]] double decode_t1 = 0.0;
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
         if (hub != nullptr) {
             decode_t0 = hub->now();
         }
@@ -350,17 +350,14 @@ void PlanningServer::handle_frames(const std::shared_ptr<Connection>& connection
             connection->broken = true;
             return;
         }
-#if !defined(SWARMAVAIL_SPANS_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
         if (hub != nullptr) {
             decode_t1 = hub->now();
         }
-#else
-        static_cast<void>(decode_t0);
-        static_cast<void>(decode_t1);
 #endif
         const Lane lane = classify_lane(payload);
         Task task{connection, std::move(payload)};
-#if !defined(SWARMAVAIL_SPANS_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
         if (hub != nullptr) {
             task.request_index = hub->next_request();
             task.connection_id = connection->id;
@@ -418,7 +415,7 @@ void PlanningServer::io_loop() {
                 auto connection =
                     std::make_shared<Connection>(client, config_.protocol);
                 connection->id = id;
-#if !defined(SWARMAVAIL_SPANS_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
                 if (span_hub_ != nullptr && span_hub_->enabled()) {
                     SpanRecord record{};
                     record.connection = id;
@@ -487,7 +484,7 @@ void PlanningServer::worker_loop(std::size_t slot_index, PopMode mode) {
     Task task;
     while (queues_.pop(mode, task)) {
         const auto started = std::chrono::steady_clock::now();
-#if !defined(SWARMAVAIL_SPANS_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
         SpanHub* hub = (span_hub_ != nullptr && span_hub_->enabled() &&
                         task.request_index != 0)
                            ? span_hub_.get()
@@ -512,14 +509,14 @@ void PlanningServer::worker_loop(std::size_t slot_index, PopMode mode) {
             std::unique_lock<std::mutex> lock(slot.mutex);
             slot.latency[static_cast<std::size_t>(result.verb)]->add(seconds);
         }
-#if !defined(SWARMAVAIL_SPANS_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
         double write_t0 = 0.0;
         if (hub != nullptr) {
             write_t0 = hub->now();
         }
 #endif
         send_frame(*task.connection, result.payload);
-#if !defined(SWARMAVAIL_SPANS_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
         if (hub != nullptr) {
             spans.note(SpanStage::kWrite, write_t0, hub->now(),
                        result.payload.size());
@@ -531,7 +528,7 @@ void PlanningServer::worker_loop(std::size_t slot_index, PopMode mode) {
     }
 }
 
-#if !defined(SWARMAVAIL_SPANS_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
 void PlanningServer::finish_request_spans(WorkerSlot& slot, std::size_t slot_index,
                                           const Task& task, Verb verb,
                                           const RequestSpans& spans) {
@@ -686,7 +683,7 @@ void PlanningServer::append_server_stats(std::string& out) {
     std::uint64_t span_records = 0;
     std::uint64_t span_dropped = 0;
     std::uint64_t span_slow = 0;
-#if !defined(SWARMAVAIL_SPANS_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     if (span_hub_ != nullptr) {
         span_records = span_hub_->records_emitted();
         span_dropped = span_hub_->records_dropped();

@@ -36,7 +36,7 @@
 // stage histograms and pushes the request's records into its span ring.
 // Requests slower than --slow-ms get their whole breakdown written to
 // the slow-query log the moment they finish. All of it is erased by the
-// trace-off preset (SWARMAVAIL_SPANS_DISABLED) and off by default at
+// trace-off preset (SWARMAVAIL_OBSERVE_DISABLED) and off by default at
 // runtime; responses are byte-identical either way.
 #pragma once
 
@@ -81,7 +81,7 @@ struct ServerConfig {
     double prom_interval_s = 0.5;
 
     // --- request-lifecycle spans (serve/span.hpp). All of these are
-    // ignored when SWARMAVAIL_SPANS_DISABLED is defined (trace-off). ---
+    // ignored when SWARMAVAIL_OBSERVE_DISABLED is defined (trace-off). ---
     /// Master runtime gate; any of the sinks/paths below implies it.
     bool spans = false;
     /// Records retained per span ring (io thread + one per worker).
@@ -137,7 +137,7 @@ class PlanningServer {
         return overloaded_.load(std::memory_order_relaxed);
     }
 
-#if !defined(SWARMAVAIL_SPANS_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     /// The span hub, when spans are active (null otherwise). Tests drain
     /// it through a MemorySpanSink; quiesce the workers first.
     [[nodiscard]] SpanHub* span_hub() noexcept { return span_hub_.get(); }
@@ -175,7 +175,7 @@ class PlanningServer {
     void send_frame(Connection& connection, std::string_view payload);
     void append_server_stats(std::string& out);
     void publish_telemetry();
-#if !defined(SWARMAVAIL_SPANS_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     /// Feeds the stage histograms and pushes the finished request's span
     /// records into the worker's ring (slow-query funnel included).
     void finish_request_spans(WorkerSlot& slot, std::size_t slot_index,
@@ -200,7 +200,7 @@ class PlanningServer {
     std::unique_ptr<telemetry::PrometheusTextExporter> prom_exporter_;
     std::unique_ptr<telemetry::TelemetrySession> telemetry_;
 
-#if !defined(SWARMAVAIL_SPANS_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     std::unique_ptr<SpanHub> span_hub_;  ///< null when spans are inactive
     // File-backed sinks owned by the server (span_out / slow_query_log);
     // streams outlive their sinks (declaration order = reverse destruction).

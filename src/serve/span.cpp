@@ -1,99 +1,29 @@
 #include "serve/span.hpp"
 
-#include <charconv>
 #include <istream>
+#include <limits>
 #include <ostream>
-#include <stdexcept>
 #include <string>
 
 #include "util/error.hpp"
+#include "util/jsonl.hpp"
 #include "util/table.hpp"
 
 namespace swarmavail::serve {
 
 namespace {
 
-[[noreturn]] void parse_fail(std::size_t line_no, const std::string& why) {
-    throw std::invalid_argument("span parse error at line " +
-                                std::to_string(line_no) + ": " + why);
+constexpr const char* kParseErrorPrefix = "span parse error at line ";
+
+/// Reads an unsigned field stored in a 16-bit SpanRecord slot.
+std::uint16_t read_u16(JsonLineScanner& scan, std::string_view field) {
+    const std::uint64_t value = scan.read_u64();
+    if (value > std::numeric_limits<std::uint16_t>::max()) {
+        scan.fail(std::string(field) + " " + std::to_string(value) +
+                  " does not fit in 16 bits");
+    }
+    return static_cast<std::uint16_t>(value);
 }
-
-/// Minimal scanner over one JSONL line as emitted by JsonlSpanSink. Like
-/// sim/trace.cpp's reader, it only accepts the writer's own shape, which
-/// keeps the round-trip contract narrow and testable.
-class SpanLineScanner {
- public:
-    SpanLineScanner(std::string_view line, std::size_t line_no)
-        : line_(line), line_no_(line_no) {}
-
-    void expect(char ch) {
-        if (pos_ >= line_.size() || line_[pos_] != ch) {
-            parse_fail(line_no_, std::string("expected '") + ch + "'");
-        }
-        ++pos_;
-    }
-
-    void expect_key(std::string_view key) {
-        expect('"');
-        if (line_.substr(pos_, key.size()) != key) {
-            parse_fail(line_no_, "expected key \"" + std::string(key) + "\"");
-        }
-        pos_ += key.size();
-        expect('"');
-        expect(':');
-    }
-
-    [[nodiscard]] double read_double() {
-        double value = 0.0;
-        const char* begin = line_.data() + pos_;
-        const char* end = line_.data() + line_.size();
-        const auto [ptr, ec] = std::from_chars(begin, end, value);
-        if (ec != std::errc{}) {
-            parse_fail(line_no_, "bad number");
-        }
-        pos_ = static_cast<std::size_t>(ptr - line_.data());
-        return value;
-    }
-
-    [[nodiscard]] std::uint64_t read_u64() {
-        std::uint64_t value = 0;
-        const char* begin = line_.data() + pos_;
-        const char* end = line_.data() + line_.size();
-        const auto [ptr, ec] = std::from_chars(begin, end, value);
-        if (ec != std::errc{}) {
-            parse_fail(line_no_, "bad integer");
-        }
-        pos_ = static_cast<std::size_t>(ptr - line_.data());
-        return value;
-    }
-
-    /// Reads a bare name between quotes (stage and cache-outcome names
-    /// contain no escapes by construction).
-    [[nodiscard]] std::string_view read_name() {
-        expect('"');
-        const std::size_t start = pos_;
-        while (pos_ < line_.size() && line_[pos_] != '"') {
-            ++pos_;
-        }
-        if (pos_ >= line_.size()) {
-            parse_fail(line_no_, "unterminated string");
-        }
-        const std::string_view name = line_.substr(start, pos_ - start);
-        ++pos_;
-        return name;
-    }
-
-    void expect_end() {
-        if (pos_ != line_.size()) {
-            parse_fail(line_no_, "trailing characters");
-        }
-    }
-
- private:
-    std::string_view line_;
-    std::size_t line_no_;
-    std::size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -132,7 +62,7 @@ std::vector<SpanRecord> read_spans_jsonl(std::istream& in) {
         if (line.empty()) {
             continue;
         }
-        SpanLineScanner scan(line, line_no);
+        JsonLineScanner scan(line, line_no, kParseErrorPrefix);
         SpanRecord r;
         scan.expect('{');
         scan.expect_key("request");
@@ -142,21 +72,21 @@ std::vector<SpanRecord> read_spans_jsonl(std::istream& in) {
         r.connection = scan.read_u64();
         scan.expect(',');
         scan.expect_key("stage");
-        const std::string_view stage_name = scan.read_name();
+        const std::string stage_name = scan.read_string();
         SpanStage stage = SpanStage::kAccept;
         if (!span_stage_from_name(stage_name, stage)) {
-            parse_fail(line_no, "unknown stage '" + std::string(stage_name) + "'");
+            scan.fail("unknown stage '" + stage_name + "'");
         }
         r.stage = static_cast<std::uint16_t>(stage);
         scan.expect(',');
         scan.expect_key("verb");
-        r.verb = static_cast<std::uint16_t>(scan.read_u64());
+        r.verb = read_u16(scan, "verb");
         scan.expect(',');
         scan.expect_key("lane");
-        r.lane = static_cast<std::uint16_t>(scan.read_u64());
+        r.lane = read_u16(scan, "lane");
         scan.expect(',');
         scan.expect_key("worker");
-        r.worker = static_cast<std::uint16_t>(scan.read_u64());
+        r.worker = read_u16(scan, "worker");
         scan.expect(',');
         scan.expect_key("t0");
         r.t_start = scan.read_double();
@@ -168,11 +98,10 @@ std::vector<SpanRecord> read_spans_jsonl(std::istream& in) {
         r.bytes = scan.read_u64();
         scan.expect(',');
         scan.expect_key("cache");
-        const std::string_view cache_name = scan.read_name();
+        const std::string cache_name = scan.read_string();
         SpanCacheOutcome outcome = SpanCacheOutcome::kNone;
         if (!span_cache_outcome_from_name(cache_name, outcome)) {
-            parse_fail(line_no,
-                       "unknown cache outcome '" + std::string(cache_name) + "'");
+            scan.fail("unknown cache outcome '" + cache_name + "'");
         }
         r.cache = static_cast<std::uint32_t>(outcome);
         scan.expect('}');

@@ -14,10 +14,10 @@
 // This file is an *observer* (swarmlint Layer::kObserver): it includes no
 // service or engine headers — verbs and lanes travel as raw integers, and
 // the serving layer maps them back to names. Cost model, by layer:
-//   - compile time: SWARMAVAIL_SPANS_DISABLED (CMake:
-//     -DSWARMAVAIL_ENABLE_SPANS=OFF, part of the trace-off preset) turns
-//     the SWARMAVAIL_SPAN macro into a no-op and the serving layer's
-//     guarded regions erase every hub touch; the types stay available.
+//   - compile time: SWARMAVAIL_OBSERVE_DISABLED (util/observe.hpp, the
+//     trace-off preset) turns every SWARMAVAIL_OBSERVE call site into a
+//     no-op and the serving layer's guarded regions erase every hub touch;
+//     the types stay available.
 //   - runtime, spans off (the default): route() dispatches to a
 //     span-free instantiation — one branch per request, nothing else.
 //   - runtime, spans on: a handful of steady_clock reads per request plus
@@ -341,16 +341,3 @@ class SpanHub {
 };
 
 }  // namespace swarmavail::serve
-
-#if defined(SWARMAVAIL_SPANS_DISABLED)
-#define SWARMAVAIL_SPAN(spans, ...) static_cast<void>(0)
-#else
-/// Serving-layer span call site: one null-pointer branch when spans are
-/// off; compiled out entirely under SWARMAVAIL_SPANS_DISABLED.
-#define SWARMAVAIL_SPAN(spans, ...)        \
-    do {                                   \
-        if ((spans) != nullptr) {          \
-            (spans)->__VA_ARGS__;          \
-        }                                  \
-    } while (false)
-#endif

@@ -12,6 +12,7 @@
 #include "util/check.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
+#include "util/observe.hpp"
 #include "util/profile.hpp"
 #include "util/random.hpp"
 
@@ -30,9 +31,9 @@ constexpr std::size_t kDurationHistBins = 20;
 /// lines instead of a hash probe, and entering/leaving the system never
 /// allocates. The old layout — two unordered_maps (peer state plus a
 /// separate downloading index) — cost two node allocations per served peer
-/// and scattered the per-swarm state across the heap, which dominated the
-/// shared-queue catalog profile where thousands of mostly-idle swarms each
-/// touch their state once per event.
+/// and scattered the per-swarm state across the heap, which dominated
+/// catalog profiles where thousands of mostly-idle swarms each touch their
+/// state once per event.
 struct PeerState {
     std::uint64_t id = 0;
     SimTime arrival = 0.0;
@@ -87,7 +88,7 @@ struct AvailabilityProcess::Impl {
         if (config_.metrics != nullptr) {
             bind_metrics(*config_.metrics);
         }
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
         if (config_.fingerprint) {
             fingerprint_state_ = Fingerprint{config_.seed};
             fingerprint_ = &fingerprint_state_;
@@ -111,9 +112,7 @@ struct AvailabilityProcess::Impl {
                            "AvailabilityProcess: finish() requires a started, "
                            "unfinished process");
         finished_ = true;
-        if (config_.tracer != nullptr) {
-            config_.tracer->flush();
-        }
+        SWARMAVAIL_OBSERVE(config_.tracer, flush());
         // Close the final availability and publisher-uptime intervals for
         // the time-averages.
         account_interval(config_.horizon);
@@ -128,7 +127,7 @@ struct AvailabilityProcess::Impl {
                 ? static_cast<double>(arrivals_blocked_) / static_cast<double>(out.arrivals)
                 : 0.0;
         out.publisher_online_fraction = publisher_online_seconds_ / config_.horizon;
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
         if (fingerprint_ != nullptr) {
             // Terminal fold: the RNG draw count catches divergences that
             // consumed randomness without changing any visible event.
@@ -205,7 +204,8 @@ struct AvailabilityProcess::Impl {
         SWARMAVAIL_PROF_SCOPE("avail.busy_transition");
         account_interval(queue_.now());
         available_ = true;
-        SWARMAVAIL_TRACE(config_.tracer, TraceKind::kAvailabilityBegin, queue_.now());
+        SWARMAVAIL_OBSERVE(config_.tracer,
+                           record(TraceKind::kAvailabilityBegin, queue_.now()));
         if (idle_open_) {
             const double idle = queue_.now() - idle_start_;
             result_.idle_periods.add(idle);
@@ -237,8 +237,10 @@ struct AvailabilityProcess::Impl {
             if (m_busy_hist_ != nullptr) {
                 m_busy_hist_->add(busy);
             }
-            SWARMAVAIL_TRACE(config_.tracer, TraceKind::kAvailabilityEnd, queue_.now(), 0,
-                             busy_start_, static_cast<double>(served_this_busy_));
+            SWARMAVAIL_OBSERVE(config_.tracer,
+                               record(TraceKind::kAvailabilityEnd, queue_.now(), 0,
+                                      busy_start_,
+                                      static_cast<double>(served_this_busy_)));
             busy_open_ = false;
         }
         idle_start_ = queue_.now();
@@ -265,8 +267,8 @@ struct AvailabilityProcess::Impl {
             if (m_stranded_ != nullptr) {
                 m_stranded_->add();
             }
-            SWARMAVAIL_TRACE(config_.tracer, TraceKind::kPeerStranded, queue_.now(),
-                             peer.id);
+            SWARMAVAIL_OBSERVE(config_.tracer,
+                               record(TraceKind::kPeerStranded, queue_.now(), peer.id));
             if (config_.patient_peers) {
                 peer.wait_start = queue_.now();
                 blocked_.push_back(peer.id);
@@ -276,8 +278,8 @@ struct AvailabilityProcess::Impl {
                 if (m_lost_ != nullptr) {
                     m_lost_->add();
                 }
-                SWARMAVAIL_TRACE(config_.tracer, TraceKind::kPeerLost, queue_.now(),
-                                 peer.id);
+                SWARMAVAIL_OBSERVE(config_.tracer,
+                                   record(TraceKind::kPeerLost, queue_.now(), peer.id));
             }
         }
         peers_.resize(keep);
@@ -359,8 +361,9 @@ struct AvailabilityProcess::Impl {
             if (m_publisher_up_ != nullptr) {
                 m_publisher_up_->add();
             }
-            SWARMAVAIL_TRACE(config_.tracer, TraceKind::kPublisherUp, queue_.now(),
-                             publishers_);
+            SWARMAVAIL_OBSERVE(config_.tracer,
+                               record(TraceKind::kPublisherUp, queue_.now(),
+                                      publishers_));
             if (publisher_ever_toggled_ && m_pub_down_interval_ != nullptr) {
                 m_pub_down_interval_->add(queue_.now() - last_publisher_change_);
             }
@@ -369,8 +372,9 @@ struct AvailabilityProcess::Impl {
             if (m_publisher_down_ != nullptr) {
                 m_publisher_down_->add();
             }
-            SWARMAVAIL_TRACE(config_.tracer, TraceKind::kPublisherDown, queue_.now(),
-                             publishers_);
+            SWARMAVAIL_OBSERVE(config_.tracer,
+                               record(TraceKind::kPublisherDown, queue_.now(),
+                                      publishers_));
             if (m_pub_up_interval_ != nullptr) {
                 m_pub_up_interval_->add(queue_.now() - last_publisher_change_);
             }
@@ -380,13 +384,14 @@ struct AvailabilityProcess::Impl {
     }
 
     void on_peer_arrival() {
-        SWARMAVAIL_FPRINT(fingerprint_, queue_.now(), kFpPeerArrival);
+        SWARMAVAIL_OBSERVE(fingerprint_, fold_event(queue_.now(), kFpPeerArrival));
         ++result_.arrivals;
         const PeerId id = next_peer_id_++;
         if (m_arrivals_ != nullptr) {
             m_arrivals_->add();
         }
-        SWARMAVAIL_TRACE(config_.tracer, TraceKind::kPeerArrival, queue_.now(), id);
+        SWARMAVAIL_OBSERVE(config_.tracer,
+                           record(TraceKind::kPeerArrival, queue_.now(), id));
         PeerState peer;
         peer.id = id;
         peer.arrival = queue_.now();
@@ -404,7 +409,8 @@ struct AvailabilityProcess::Impl {
                 if (m_lost_ != nullptr) {
                     m_lost_->add();
                 }
-                SWARMAVAIL_TRACE(config_.tracer, TraceKind::kPeerLost, queue_.now(), id);
+                SWARMAVAIL_OBSERVE(config_.tracer,
+                                   record(TraceKind::kPeerLost, queue_.now(), id));
             }
         }
         sample_gauges();
@@ -421,7 +427,7 @@ struct AvailabilityProcess::Impl {
     }
 
     void on_completion(PeerId id) {
-        SWARMAVAIL_FPRINT(fingerprint_, queue_.now(), kFpCompletion);
+        SWARMAVAIL_OBSERVE(fingerprint_, fold_event(queue_.now(), kFpCompletion));
         PeerState& record = peer_at(id);
         ensure(record.downloading, "AvailabilitySim: completion for a peer not "
                                    "downloading");
@@ -438,8 +444,9 @@ struct AvailabilityProcess::Impl {
             m_download_hist_->add(elapsed);
             m_wait_hist_->add(peer.waited);
         }
-        SWARMAVAIL_TRACE(config_.tracer, TraceKind::kPeerCompletion, queue_.now(), id,
-                         elapsed, peer.waited);
+        SWARMAVAIL_OBSERVE(config_.tracer,
+                           record(TraceKind::kPeerCompletion, queue_.now(), id, elapsed,
+                                  peer.waited));
         sample_gauges();
         if (config_.linger_time > 0.0) {
             ++lingering_;
@@ -448,7 +455,7 @@ struct AvailabilityProcess::Impl {
             // already flushed all lingering seeds.
             const std::uint64_t epoch = linger_epoch_;
             queue_.schedule_at(queue_.now() + linger, [this, epoch] {
-                SWARMAVAIL_FPRINT(fingerprint_, queue_.now(), kFpLingerEnd);
+                SWARMAVAIL_OBSERVE(fingerprint_, fold_event(queue_.now(), kFpLingerEnd));
                 if (epoch == linger_epoch_ && lingering_ > 0) {
                     --lingering_;
                     maybe_end_busy_period();
@@ -461,11 +468,12 @@ struct AvailabilityProcess::Impl {
     }
 
     void on_publisher_arrival() {
-        SWARMAVAIL_FPRINT(fingerprint_, queue_.now(), kFpPublisherArrival);
+        SWARMAVAIL_OBSERVE(fingerprint_, fold_event(queue_.now(), kFpPublisherArrival));
         change_publishers(+1);
         const double stay = rng_.exponential_mean(config_.params.publisher_residence);
         queue_.schedule_at(queue_.now() + stay, [this] {
-            SWARMAVAIL_FPRINT(fingerprint_, queue_.now(), kFpPublisherDeparture);
+            SWARMAVAIL_OBSERVE(fingerprint_,
+                               fold_event(queue_.now(), kFpPublisherDeparture));
             change_publishers(-1);
             maybe_end_busy_period();
             audit_state();
@@ -477,7 +485,7 @@ struct AvailabilityProcess::Impl {
     }
 
     void on_publisher_up() {
-        SWARMAVAIL_FPRINT(fingerprint_, queue_.now(), kFpPublisherUp);
+        SWARMAVAIL_OBSERVE(fingerprint_, fold_event(queue_.now(), kFpPublisherUp));
         change_publishers(+1);
         if (!available_) {
             become_available();
@@ -486,15 +494,15 @@ struct AvailabilityProcess::Impl {
     }
 
     void on_publisher_down() {
-        SWARMAVAIL_FPRINT(fingerprint_, queue_.now(), kFpPublisherDown);
+        SWARMAVAIL_OBSERVE(fingerprint_, fold_event(queue_.now(), kFpPublisherDown));
         change_publishers(-1);
         maybe_end_busy_period();
         audit_state();
     }
 
-    // Declaration order doubles as cache layout: in the shared-queue
-    // catalog engine every event lands on a cold Impl (thousands of swarms
-    // round-robin through one queue), so the fields an event handler always
+    // Declaration order doubles as cache layout: when many swarms share one
+    // queue every event lands on a cold Impl (the swarms round-robin
+    // through the queue), so the fields an event handler always
     // touches — config, rng, queue, the population scalars and flags — are
     // packed up front, the per-event-type process objects follow, and the
     // result accumulator plus the metric pointers (null in benchmarks,
@@ -502,7 +510,7 @@ struct AvailabilityProcess::Impl {
     AvailabilitySimConfig config_;
     Rng rng_;
     EventQueue& queue_;
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     // Touched once per event handler, so it rides with the hot scalars.
     Fingerprint fingerprint_state_;
     Fingerprint* fingerprint_ = nullptr;  ///< &fingerprint_state_ when enabled
@@ -578,7 +586,7 @@ const AvailabilitySimConfig& AvailabilityProcess::config() const noexcept {
 }
 
 std::uint64_t AvailabilityProcess::fingerprint_digest() const noexcept {
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     if (impl_->fingerprint_ != nullptr) {
         return impl_->fingerprint_->digest();
     }

@@ -2,7 +2,7 @@
 //
 // AvailabilityProcess is the engine behind run_availability_sim, factored
 // out so many statistically independent swarms can be multiplexed onto one
-// shared queue (the catalog engine's shared-queue mode). Each process owns
+// shared queue. Each process owns
 // its Rng (seeded from its config), draws randomness only inside its own
 // event handlers, and schedules only its own events — so a process's sample
 // path depends solely on its config, never on what else shares the queue.

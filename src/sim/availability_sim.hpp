@@ -63,7 +63,7 @@ struct AvailabilitySimConfig {
     /// draw count into the result's fingerprint. Queue-agnostic by design,
     /// so a swarm digests identically on a private or a shared queue. Pure
     /// observer (cannot change any result bit); ignored when the build
-    /// defines SWARMAVAIL_FINGERPRINT_DISABLED.
+    /// defines SWARMAVAIL_OBSERVE_DISABLED.
     bool fingerprint = true;
 };
 

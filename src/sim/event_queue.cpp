@@ -6,6 +6,7 @@
 #include "sim/audit.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
+#include "util/observe.hpp"
 #include "util/profile.hpp"
 
 namespace swarmavail::sim {
@@ -111,7 +112,7 @@ bool EventQueue::run_next() {
     reposition();
     now_ = entry.when;
     ++dispatched_;
-    SWARMAVAIL_FPRINT(fingerprint_, entry.when, entry.seq, 0U);
+    SWARMAVAIL_OBSERVE(fingerprint_, fold_event(entry.when, entry.seq, 0U));
     action();
     return true;
 }

@@ -75,7 +75,7 @@ class EventQueue {
     /// here.
     [[nodiscard]] SimTime next_time() const noexcept { return next_when_; }
 
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     /// Attaches a determinism fingerprint: every dispatch folds its
     /// (when, seq) into the chain (kind 0 — the queue has no event
     /// semantics). The fingerprint must outlive the queue or be detached
@@ -121,7 +121,7 @@ class EventQueue {
     std::uint64_t next_seq_ = 0;
     std::uint64_t dispatched_ = 0;
     std::size_t live_events_ = 0;
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     Fingerprint* fingerprint_ = nullptr;  ///< folds every dispatch when set
 #endif
     bool audit_ = false;

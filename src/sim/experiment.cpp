@@ -7,6 +7,7 @@
 
 #include "sim/fingerprint.hpp"
 #include "util/error.hpp"
+#include "util/observe.hpp"
 
 namespace swarmavail::sim {
 namespace {
@@ -38,7 +39,7 @@ ExperimentCell pool_replications(const std::string& label, std::size_t replicati
     cell.replications = replications;
 
     telemetry::RunCounters* counters = nullptr;
-#if !defined(SWARMAVAIL_TELEMETRY_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     if (control.telemetry != nullptr) {
         counters = &control.telemetry->counters();
         counters->replications_total.fetch_add(replications,
@@ -61,7 +62,7 @@ ExperimentCell pool_replications(const std::string& label, std::size_t replicati
             std::vector<double> samples = invoke(i);
             ReplicationResult& out = results[i];
             out.ran = true;
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
             {
                 // Digest the sample bits worker-side: equal digests iff the
                 // replication produced bit-identical samples in order.
@@ -82,12 +83,12 @@ ExperimentCell pool_replications(const std::string& label, std::size_t replicati
                 out.samples = SampleSet{std::move(samples)};
                 out.has_samples = true;
             }
-            SWARMAVAIL_TELEMETRY(control.telemetry,
-                                 counters().replications_completed.fetch_add(
-                                     1, std::memory_order_relaxed));
+            SWARMAVAIL_OBSERVE(control.telemetry,
+                               counters().replications_completed.fetch_add(
+                                   1, std::memory_order_relaxed));
             if (out.has_samples) {
-                SWARMAVAIL_TELEMETRY(control.telemetry,
-                                     tracker().observe(label, out.run_mean));
+                SWARMAVAIL_OBSERVE(control.telemetry,
+                                   tracker().observe(label, out.run_mean));
             }
             if (stoppable && out.has_samples) {
                 const std::lock_guard<std::mutex> lock(observed_mutex);
@@ -98,7 +99,7 @@ ExperimentCell pool_replications(const std::string& label, std::size_t replicati
             }
         },
         counters);
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     Fingerprint combined;
 #endif
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -107,7 +108,7 @@ ExperimentCell pool_replications(const std::string& label, std::size_t replicati
             continue;
         }
         ++cell.completed_replications;
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
         combined.fold(static_cast<std::uint64_t>(i));
         combined.fold(result.fingerprint);
 #endif
@@ -117,7 +118,7 @@ ExperimentCell pool_replications(const std::string& label, std::size_t replicati
         cell.run_means.add(result.run_mean);
         cell.samples.merge(std::move(result.samples));
     }
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     if (cell.completed_replications > 0) {
         cell.fingerprint = combined.digest();
     }

@@ -28,7 +28,7 @@ struct ExperimentCell {
     /// Determinism fingerprint of the batch (see sim/fingerprint.hpp):
     /// each replication's sample bits digested worker-side, the digests
     /// folded in index order. Bit-identical for every thread count; 0 when
-    /// the build defines SWARMAVAIL_FINGERPRINT_DISABLED.
+    /// the build defines SWARMAVAIL_OBSERVE_DISABLED.
     std::uint64_t fingerprint = 0;
 
     /// Mean of the pooled samples (0 if empty).

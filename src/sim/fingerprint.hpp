@@ -9,7 +9,7 @@
 // fingerprint is two 64-bit words regardless of how many events it folds.
 //
 // Fingerprints make the repo's determinism contract — bit-identical results
-// at any thread count, sharded ≡ shared-queue catalogs, calendar ≡ heap
+// at any thread count, private ≡ shared-queue swarms, calendar ≡ heap
 // dispatch — an O(1)-comparable observable instead of an O(report)
 // byte-compare: two runs took the same event path iff their digests match
 // (up to 64-bit collision odds). Per-swarm digests fold per-process event
@@ -20,12 +20,11 @@
 // to the same value.
 //
 // Cost model (mirrors sim/trace.hpp):
-//   - compile time: SWARMAVAIL_FINGERPRINT_DISABLED (CMake:
-//     -DSWARMAVAIL_ENABLE_FINGERPRINT=OFF, part of the trace-off preset)
-//     removes every engine call site; the Fingerprint type itself remains
-//     available for direct use.
-//   - runtime, no fingerprint attached: the SWARMAVAIL_FPRINT macro is a
-//     null-pointer check — one branch per call site.
+//   - compile time: SWARMAVAIL_OBSERVE_DISABLED (util/observe.hpp, the
+//     trace-off preset) removes every engine call site; the Fingerprint
+//     type itself remains available for direct use.
+//   - runtime, no fingerprint attached: the SWARMAVAIL_OBSERVE call site
+//     is a null-pointer check — one branch per call site.
 //
 // Fingerprinting never draws randomness or mutates simulator state, so
 // enabling it cannot change any simulation result (observer neutrality;
@@ -112,17 +111,3 @@ class Fingerprint {
 [[nodiscard]] std::string fingerprint_hex(std::uint64_t digest);
 
 }  // namespace swarmavail::sim
-
-#if defined(SWARMAVAIL_FINGERPRINT_DISABLED)
-#define SWARMAVAIL_FPRINT(fingerprint, ...) static_cast<void>(0)
-#else
-/// Engine-side fingerprint call site: one null-pointer branch when no
-/// fingerprint is attached; compiled out entirely under
-/// SWARMAVAIL_FINGERPRINT_DISABLED.
-#define SWARMAVAIL_FPRINT(fingerprint, ...)         \
-    do {                                            \
-        if ((fingerprint) != nullptr) {             \
-            (fingerprint)->fold_event(__VA_ARGS__); \
-        }                                           \
-    } while (false)
-#endif

@@ -19,19 +19,16 @@ namespace {
 
 /// Publishes the remaining-index count after one more index completed.
 /// No-op when telemetry is compiled out or detached.
-inline void publish_queue_depth(telemetry::RunCounters* counters, std::size_t n,
-                                std::atomic<std::size_t>* completed) {
-#ifndef SWARMAVAIL_TELEMETRY_DISABLED
+inline void publish_queue_depth([[maybe_unused]] telemetry::RunCounters* counters,
+                                [[maybe_unused]] std::size_t n,
+                                [[maybe_unused]] std::atomic<std::size_t>* completed) {
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     if (counters != nullptr) {
         const std::size_t done =
             completed->fetch_add(1, std::memory_order_relaxed) + 1;
         counters->queue_depth.store(static_cast<double>(n - (done < n ? done : n)),
                                     std::memory_order_relaxed);
     }
-#else
-    (void)counters;
-    (void)n;
-    (void)completed;
 #endif
 }
 

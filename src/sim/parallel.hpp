@@ -59,7 +59,7 @@ class Parallel {
     ///
     /// If `counters` is non-null the worker loop publishes the number of
     /// not-yet-completed indices to `counters->queue_depth` as work drains
-    /// (relaxed stores only; compiled out under SWARMAVAIL_TELEMETRY_DISABLED).
+    /// (relaxed stores only; compiled out under SWARMAVAIL_OBSERVE_DISABLED).
     void for_index(std::size_t n, const std::function<void(std::size_t)>& fn,
                    telemetry::RunCounters* counters = nullptr);
 

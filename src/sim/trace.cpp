@@ -1,7 +1,6 @@
 #include "sim/trace.hpp"
 
 #include <charconv>
-#include <cstdio>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -10,6 +9,7 @@
 
 #include "util/check.hpp"
 #include "util/error.hpp"
+#include "util/jsonl.hpp"
 #include "util/table.hpp"
 
 namespace swarmavail::sim {
@@ -35,161 +35,12 @@ constexpr KindName kKindNames[] = {
     {TraceKind::kCustom, "custom"},
 };
 
-/// JSON string escaping for annotation text (control chars, quote, backslash).
-std::string json_escape(std::string_view text) {
-    std::string out;
-    out.reserve(text.size() + 2);
-    for (char ch : text) {
-        switch (ch) {
-            case '"':
-                out += "\\\"";
-                break;
-            case '\\':
-                out += "\\\\";
-                break;
-            case '\n':
-                out += "\\n";
-                break;
-            case '\r':
-                out += "\\r";
-                break;
-            case '\t':
-                out += "\\t";
-                break;
-            default:
-                if (static_cast<unsigned char>(ch) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x",
-                                  static_cast<unsigned>(static_cast<unsigned char>(ch)));
-                    out += buf;
-                } else {
-                    out += ch;
-                }
-                break;
-        }
-    }
-    return out;
-}
+constexpr const char* kParseErrorPrefix = "trace parse error at line ";
 
 [[noreturn]] void parse_fail(std::size_t line_no, const std::string& why) {
-    throw std::invalid_argument("trace parse error at line " + std::to_string(line_no) +
-                                ": " + why);
+    throw std::invalid_argument(kParseErrorPrefix + std::to_string(line_no) + ": " +
+                                why);
 }
-
-/// Minimal scanner over one JSONL line as emitted by JsonlTraceSink. This
-/// is deliberately not a general JSON parser: it only accepts the writer's
-/// own shape, which keeps the round-trip contract narrow and testable.
-class JsonLineScanner {
- public:
-    JsonLineScanner(std::string_view line, std::size_t line_no)
-        : line_(line), line_no_(line_no) {}
-
-    void expect(char ch) {
-        if (pos_ >= line_.size() || line_[pos_] != ch) {
-            parse_fail(line_no_, std::string("expected '") + ch + "'");
-        }
-        ++pos_;
-    }
-
-    [[nodiscard]] bool consume(char ch) noexcept {
-        if (pos_ < line_.size() && line_[pos_] == ch) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    void expect_key(std::string_view key) {
-        expect('"');
-        if (line_.substr(pos_, key.size()) != key) {
-            parse_fail(line_no_, "expected key \"" + std::string(key) + "\"");
-        }
-        pos_ += key.size();
-        expect('"');
-        expect(':');
-    }
-
-    [[nodiscard]] double read_double() {
-        double value = 0.0;
-        const char* begin = line_.data() + pos_;
-        const char* end = line_.data() + line_.size();
-        const auto [ptr, ec] = std::from_chars(begin, end, value);
-        if (ec != std::errc{}) {
-            parse_fail(line_no_, "bad number");
-        }
-        pos_ = static_cast<std::size_t>(ptr - line_.data());
-        return value;
-    }
-
-    [[nodiscard]] std::uint64_t read_u64() {
-        std::uint64_t value = 0;
-        const char* begin = line_.data() + pos_;
-        const char* end = line_.data() + line_.size();
-        const auto [ptr, ec] = std::from_chars(begin, end, value);
-        if (ec != std::errc{}) {
-            parse_fail(line_no_, "bad integer");
-        }
-        pos_ = static_cast<std::size_t>(ptr - line_.data());
-        return value;
-    }
-
-    /// Reads a quoted string, undoing json_escape.
-    [[nodiscard]] std::string read_string() {
-        expect('"');
-        std::string out;
-        while (true) {
-            if (pos_ >= line_.size()) {
-                parse_fail(line_no_, "unterminated string");
-            }
-            char ch = line_[pos_++];
-            if (ch == '"') {
-                return out;
-            }
-            if (ch != '\\') {
-                out += ch;
-                continue;
-            }
-            if (pos_ >= line_.size()) {
-                parse_fail(line_no_, "dangling escape");
-            }
-            char esc = line_[pos_++];
-            switch (esc) {
-                case '"': out += '"'; break;
-                case '\\': out += '\\'; break;
-                case 'n': out += '\n'; break;
-                case 'r': out += '\r'; break;
-                case 't': out += '\t'; break;
-                case 'u': {
-                    if (pos_ + 4 > line_.size()) {
-                        parse_fail(line_no_, "bad \\u escape");
-                    }
-                    unsigned code = 0;
-                    const char* begin = line_.data() + pos_;
-                    const auto [ptr, ec] = std::from_chars(begin, begin + 4, code, 16);
-                    if (ec != std::errc{} || ptr != begin + 4 || code > 0xFF) {
-                        parse_fail(line_no_, "bad \\u escape");
-                    }
-                    out += static_cast<char>(code);
-                    pos_ += 4;
-                    break;
-                }
-                default:
-                    parse_fail(line_no_, "unknown escape");
-            }
-        }
-    }
-
-    void expect_end() {
-        if (pos_ != line_.size()) {
-            parse_fail(line_no_, "trailing characters");
-        }
-    }
-
- private:
-    std::string_view line_;
-    std::size_t line_no_;
-    std::size_t pos_ = 0;
-};
 
 /// Splits one CSV line written by write_csv_row back into cells.
 std::vector<std::string> split_csv_line(const std::string& line, std::size_t line_no) {
@@ -352,7 +203,7 @@ ParsedTrace read_trace_jsonl(std::istream& in) {
         if (line.empty()) {
             continue;
         }
-        JsonLineScanner scan(line, line_no);
+        JsonLineScanner scan(line, line_no, kParseErrorPrefix);
         scan.expect('{');
         scan.expect_key("t");
         const double time = scan.read_double();
@@ -370,7 +221,7 @@ ParsedTrace read_trace_jsonl(std::istream& in) {
         }
         TraceKind kind = TraceKind::kCustom;
         if (!trace_kind_from_name(kind_name, kind)) {
-            parse_fail(line_no, "unknown kind '" + kind_name + "'");
+            scan.fail("unknown kind '" + kind_name + "'");
         }
         scan.expect(',');
         scan.expect_key("entity");

@@ -9,11 +9,11 @@
 // times) are extracted from — see examples/trace_inspect.cpp.
 //
 // Cost model, by layer:
-//   - compile time: building with SWARMAVAIL_TRACING_DISABLED (CMake:
-//     -DSWARMAVAIL_ENABLE_TRACING=OFF) removes every engine call site; the
-//     Tracer/sink types remain available for direct use.
-//   - runtime, no tracer attached (the default): the SWARMAVAIL_TRACE macro
-//     is a null-pointer check — one branch per call site.
+//   - compile time: SWARMAVAIL_OBSERVE_DISABLED (util/observe.hpp) removes
+//     every engine call site; the Tracer/sink types remain available for
+//     direct use.
+//   - runtime, no tracer attached (the default): the SWARMAVAIL_OBSERVE
+//     call site is a null-pointer check — one branch per call site.
 //   - runtime, tracer attached but disabled: one additional flag branch.
 //
 // Tracing never draws randomness or mutates simulator state, so enabling
@@ -211,16 +211,3 @@ struct ParsedTrace {
 void trace_check_failure(Tracer* tracer, double sim_time, const CheckFailure& failure);
 
 }  // namespace swarmavail::sim
-
-#if defined(SWARMAVAIL_TRACING_DISABLED)
-#define SWARMAVAIL_TRACE(tracer, ...) static_cast<void>(0)
-#else
-/// Engine-side trace call site: one null-pointer branch when no tracer is
-/// attached; compiled out entirely under SWARMAVAIL_TRACING_DISABLED.
-#define SWARMAVAIL_TRACE(tracer, ...)          \
-    do {                                       \
-        if ((tracer) != nullptr) {             \
-            (tracer)->record(__VA_ARGS__);     \
-        }                                      \
-    } while (false)
-#endif

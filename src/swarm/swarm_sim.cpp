@@ -16,6 +16,7 @@
 #include "util/metrics.hpp"
 #include "util/profile.hpp"
 #include "util/random.hpp"
+#include "util/observe.hpp"
 #include "util/telemetry.hpp"
 
 namespace swarmavail::swarm {
@@ -103,7 +104,7 @@ class SwarmSim {
         holder_list_.assign(pieces_total_, {});
         offered_count_.assign(pieces_total_, 0);
         queue_.set_audit(config_.debug_audit);
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
         if (config_.fingerprint) {
             fingerprint_state_ = sim::Fingerprint{config_.seed};
             fingerprint_ = &fingerprint_state_;
@@ -193,23 +194,18 @@ class SwarmSim {
         }
 
         close_availability_interval(end_time);
-        if (config_.tracer != nullptr) {
-            config_.tracer->flush();
-        }
-        SWARMAVAIL_TELEMETRY(config_.telemetry,
-                             counters().events_dispatched.fetch_add(
-                                 queue_.dispatched(), std::memory_order_relaxed));
-#if !defined(SWARMAVAIL_TELEMETRY_DISABLED)
-        if (config_.telemetry != nullptr) {
-            telemetry::atomic_add(config_.telemetry->counters().sim_time_advanced,
-                                  end_time);
-        }
-#endif
+        SWARMAVAIL_OBSERVE(config_.tracer, flush());
         if (config_.metrics != nullptr) {
             record_calendar_metrics(*config_.metrics, queue_.calendar_stats());
         }
         SwarmSimResult out = std::move(result_);
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
+        if (config_.telemetry != nullptr) {
+            telemetry::RunCounters& counters = config_.telemetry->counters();
+            counters.events_dispatched.fetch_add(queue_.dispatched(),
+                                                 std::memory_order_relaxed);
+            telemetry::atomic_add(counters.sim_time_advanced, end_time);
+        }
         if (fingerprint_ != nullptr) {
             // Fold the RNG draw count so divergences that consume randomness
             // without producing a visible event still move the digest.
@@ -340,7 +336,8 @@ class SwarmSim {
         if (now_available) {
             available_ = true;
             interval_begin_ = queue_.now();
-            SWARMAVAIL_TRACE(config_.tracer, TraceKind::kAvailabilityBegin, queue_.now());
+            SWARMAVAIL_OBSERVE(config_.tracer,
+                               record(TraceKind::kAvailabilityBegin, queue_.now()));
         } else {
             // Close the interval before flipping the flag: the close helper
             // only records while available_ is still true.
@@ -358,8 +355,9 @@ class SwarmSim {
             // `a` carries the interval's begin time, so the intervals of
             // result_.available_intervals reconstruct exactly from the
             // kAvailabilityEnd records alone.
-            SWARMAVAIL_TRACE(config_.tracer, TraceKind::kAvailabilityEnd, end, 0,
-                             interval_begin_);
+            SWARMAVAIL_OBSERVE(config_.tracer,
+                               record(TraceKind::kAvailabilityEnd, end, 0,
+                                      interval_begin_));
             interval_begin_ = end;
         }
     }
@@ -476,8 +474,9 @@ class SwarmSim {
         if (m_arrivals_ != nullptr) {
             m_arrivals_->add();
         }
-        SWARMAVAIL_TRACE(config_.tracer, TraceKind::kPeerArrival, queue_.now(), id,
-                         peer.capacity);
+        SWARMAVAIL_OBSERVE(config_.tracer,
+                           record(TraceKind::kPeerArrival, queue_.now(), id,
+                                  peer.capacity));
         result_.peers.push_back({queue_.now(), -1.0, peer.capacity});
         peer.record_index = result_.peers.size() - 1;
         if (peer_slots_.size() <= id) {
@@ -508,13 +507,15 @@ class SwarmSim {
                     m_pub_down_interval_->add(queue_.now() - last_publisher_change_);
                 }
             }
-            SWARMAVAIL_TRACE(config_.tracer, TraceKind::kPublisherUp, queue_.now(), 1);
+            SWARMAVAIL_OBSERVE(config_.tracer,
+                               record(TraceKind::kPublisherUp, queue_.now(), 1));
         } else {
             if (m_publisher_down_ != nullptr) {
                 m_publisher_down_->add();
                 m_pub_up_interval_->add(queue_.now() - last_publisher_change_);
             }
-            SWARMAVAIL_TRACE(config_.tracer, TraceKind::kPublisherDown, queue_.now(), 0);
+            SWARMAVAIL_OBSERVE(config_.tracer,
+                               record(TraceKind::kPublisherDown, queue_.now(), 0));
         }
         last_publisher_change_ = queue_.now();
         publisher_ever_toggled_ = true;
@@ -543,9 +544,10 @@ class SwarmSim {
         if (m_transfers_completed_ != nullptr) {
             m_transfers_completed_->add();
         }
-        SWARMAVAIL_TRACE(config_.tracer, TraceKind::kTransferComplete, queue_.now(), tid,
-                         static_cast<double>(transfer.piece),
-                         static_cast<double>(transfer.dst));
+        SWARMAVAIL_OBSERVE(config_.tracer,
+                           record(TraceKind::kTransferComplete, queue_.now(), tid,
+                                  static_cast<double>(transfer.piece),
+                                  static_cast<double>(transfer.dst)));
 
         release_src_slot(tid, transfer);
         Peer& dst = peer_at(transfer.dst);
@@ -581,8 +583,8 @@ class SwarmSim {
             m_completions_->add();
             m_download_hist_->add(elapsed);
         }
-        SWARMAVAIL_TRACE(config_.tracer, TraceKind::kPeerCompletion, queue_.now(), id,
-                         elapsed);
+        SWARMAVAIL_OBSERVE(config_.tracer,
+                           record(TraceKind::kPeerCompletion, queue_.now(), id, elapsed));
         result_.download_times.add(elapsed);
         result_.completion_times.push_back(queue_.now());
         result_.last_completion = queue_.now();
@@ -1000,8 +1002,9 @@ class SwarmSim {
             m_transfers_started_->add();
             m_transfer_hist_->add(duration);
         }
-        SWARMAVAIL_TRACE(config_.tracer, TraceKind::kTransferStart, queue_.now(), tid,
-                         static_cast<double>(piece), duration);
+        SWARMAVAIL_OBSERVE(config_.tracer,
+                           record(TraceKind::kTransferStart, queue_.now(), tid,
+                                  static_cast<double>(piece), duration));
         const EventId event = queue_.schedule_at(
             queue_.now() + duration, [this, tid] { on_transfer_complete(tid); });
         transfers_.push_back(Transfer{tid, src_id, dst_id, piece, event});
@@ -1024,7 +1027,7 @@ class SwarmSim {
     Rng rng_;
     EventQueue queue_;
     SwarmSimResult result_;
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     sim::Fingerprint fingerprint_state_;
     sim::Fingerprint* fingerprint_ = nullptr;  ///< null: fingerprinting off
 #endif
@@ -1124,7 +1127,7 @@ std::vector<SwarmSimResult> run_swarm_replications(const SwarmSimConfig& config,
     // runs strictly in seed order, so the merged metrics are bit-identical
     // for every thread count too.
     telemetry::RunCounters* counters = nullptr;
-#if !defined(SWARMAVAIL_TELEMETRY_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     if (config.telemetry != nullptr) {
         counters = &config.telemetry->counters();
         counters->replications_total.fetch_add(runs, std::memory_order_relaxed);
@@ -1140,20 +1143,17 @@ std::vector<SwarmSimResult> run_swarm_replications(const SwarmSimConfig& config,
             run_config.metrics = registries.empty() ? nullptr : &registries[i];
             run_config.tracer = nullptr;  // tracing is single-run (see config docs)
             results[i] = run_swarm_sim(run_config);
-            SWARMAVAIL_TELEMETRY(config.telemetry,
-                                 counters().replications_completed.fetch_add(
-                                     1, std::memory_order_relaxed));
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
-            SWARMAVAIL_TELEMETRY(config.telemetry,
-                                 counters().fingerprint_xor.fetch_xor(
-                                     results[i].fingerprint,
-                                     std::memory_order_relaxed));
-#endif
-            if (results[i].download_times.count() > 0) {
-                SWARMAVAIL_TELEMETRY(config.telemetry,
-                                     tracker().observe("swarm.download_time_s",
-                                                       results[i].download_times.mean()));
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
+            if (counters != nullptr) {
+                counters->replications_completed.fetch_add(1, std::memory_order_relaxed);
+                counters->fingerprint_xor.fetch_xor(results[i].fingerprint,
+                                                    std::memory_order_relaxed);
+                if (results[i].download_times.count() > 0) {
+                    config.telemetry->tracker().observe(
+                        "swarm.download_time_s", results[i].download_times.mean());
+                }
             }
+#endif
         },
         counters);
     for (const MetricsRegistry& registry : registries) {

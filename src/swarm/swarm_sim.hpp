@@ -124,7 +124,7 @@ struct SwarmSimConfig {
     /// the private queue dispatches — (when, seq, kind) — plus the final
     /// RNG draw count into the result's fingerprint. Pure observer (cannot
     /// change any result bit); ignored when the build defines
-    /// SWARMAVAIL_FINGERPRINT_DISABLED.
+    /// SWARMAVAIL_OBSERVE_DISABLED.
     bool fingerprint = true;
 };
 

@@ -9,8 +9,8 @@
 //
 // Cost model: profiling is runtime-gated. Disabled (the default), a scope
 // costs one relaxed atomic load and a branch — no clock reads. Compiling
-// with SWARMAVAIL_PROFILING_DISABLED (CMake: -DSWARMAVAIL_ENABLE_PROFILING=OFF)
-// removes the call sites entirely.
+// with SWARMAVAIL_OBSERVE_DISABLED (util/observe.hpp; CMake:
+// -DSWARMAVAIL_ENABLE_OBSERVE=OFF) removes the call sites entirely.
 //
 // Profiling measures wall time only; it never touches simulator state or
 // RNG draws, so enabling it cannot change any simulation result.
@@ -105,7 +105,7 @@ class ProfScope {
 #define SWARMAVAIL_PROF_CAT2(a, b) a##b
 #define SWARMAVAIL_PROF_CAT(a, b) SWARMAVAIL_PROF_CAT2(a, b)
 
-#if defined(SWARMAVAIL_PROFILING_DISABLED)
+#if defined(SWARMAVAIL_OBSERVE_DISABLED)
 #define SWARMAVAIL_PROF_SCOPE(name) static_cast<void>(0)
 #else
 /// Times the enclosing block under phase `name` (a string literal). The

@@ -44,17 +44,17 @@ class Rng {
         state_[0] ^= state_[3];
         state_[2] ^= t;
         state_[3] = std::rotl(state_[3], 45);
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
         ++draws_;
 #endif
         return result;
     }
 
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     /// Raw 64-bit outputs generated so far. A determinism-fingerprint
     /// probe (two runs consuming different draw counts diverged even if
     /// their visible results agree); counter and accessor are absent under
-    /// SWARMAVAIL_FINGERPRINT_DISABLED so the generator pays nothing.
+    /// SWARMAVAIL_OBSERVE_DISABLED so the generator pays nothing.
     [[nodiscard]] std::uint64_t draws() const noexcept { return draws_; }
 #endif
 
@@ -126,7 +126,7 @@ class Rng {
 
  private:
     std::array<std::uint64_t, 4> state_{};
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     std::uint64_t draws_ = 0;
 #endif
 };

@@ -8,11 +8,11 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "util/error.hpp"
+#include "util/jsonl.hpp"
 #include "util/table.hpp"
 
 #if defined(__linux__)
@@ -111,7 +111,7 @@ bool read_process_rss(std::uint64_t& rss_bytes, std::uint64_t& peak_rss_bytes) {
 namespace {
 
 void write_tracked_json(const TrackedStat& stat, std::ostream& os) {
-    os << "{\"name\":\"" << stat.name << "\",\"count\":" << stat.count
+    os << "{\"name\":\"" << json_escape(stat.name) << "\",\"count\":" << stat.count
        << ",\"mean\":" << format_double_exact(stat.mean)
        << ",\"ci95\":" << format_double_exact(stat.ci95_halfwidth)
        << ",\"min\":" << format_double_exact(stat.min)
@@ -429,119 +429,6 @@ bool validate_prometheus_text(std::string_view text, std::string* error) {
 // ---------------------------------------------------------------------------
 // JSONL snapshot reader
 
-namespace {
-
-[[noreturn]] void parse_fail(std::size_t line_no, const std::string& why) {
-    throw std::invalid_argument("telemetry jsonl line " + std::to_string(line_no) +
-                                ": " + why);
-}
-
-/// Minimal scanner over one exporter-produced line (same philosophy as the
-/// trace reader: this reads back our own writer's shape, it is not a JSON
-/// library).
-class Scanner {
- public:
-    Scanner(std::string_view line, std::size_t line_no)
-        : line_(line), line_no_(line_no) {}
-
-    void expect(char c) {
-        if (pos_ >= line_.size() || line_[pos_] != c) {
-            parse_fail(line_no_, std::string("expected '") + c + "'");
-        }
-        ++pos_;
-    }
-
-    void expect_key(std::string_view key) {
-        expect('"');
-        if (line_.substr(pos_, key.size()) != key) {
-            parse_fail(line_no_, "expected key '" + std::string{key} + "'");
-        }
-        pos_ += key.size();
-        expect('"');
-        expect(':');
-    }
-
-    [[nodiscard]] bool read_bool() {
-        if (line_.substr(pos_, 4) == "true") {
-            pos_ += 4;
-            return true;
-        }
-        if (line_.substr(pos_, 5) == "false") {
-            pos_ += 5;
-            return false;
-        }
-        parse_fail(line_no_, "expected boolean");
-    }
-
-    [[nodiscard]] std::uint64_t read_u64() {
-        if (pos_ >= line_.size() || line_[pos_] < '0' || line_[pos_] > '9') {
-            parse_fail(line_no_, "expected unsigned integer");
-        }
-        std::uint64_t value = 0;
-        while (pos_ < line_.size() && line_[pos_] >= '0' && line_[pos_] <= '9') {
-            value = value * 10 + static_cast<std::uint64_t>(line_[pos_] - '0');
-            ++pos_;
-        }
-        return value;
-    }
-
-    [[nodiscard]] double read_double() {
-        const std::string owned{line_.substr(pos_)};
-        char* end = nullptr;
-        const double value = std::strtod(owned.c_str(), &end);
-        if (end == owned.c_str()) {
-            parse_fail(line_no_, "expected number");
-        }
-        pos_ += static_cast<std::size_t>(end - owned.c_str());
-        return value;
-    }
-
-    [[nodiscard]] std::string read_string() {
-        expect('"');
-        std::string out;
-        while (pos_ < line_.size() && line_[pos_] != '"') {
-            if (line_[pos_] == '\\' && pos_ + 1 < line_.size()) {
-                ++pos_;
-            }
-            out.push_back(line_[pos_++]);
-        }
-        expect('"');
-        return out;
-    }
-
-    [[nodiscard]] bool peek(char c) const {
-        return pos_ < line_.size() && line_[pos_] == c;
-    }
-
-    /// Consumes `"key":` if it is next; false (no movement) otherwise.
-    /// For fields added after the format shipped: streams written before
-    /// the field existed still parse (the field keeps its default).
-    [[nodiscard]] bool try_key(std::string_view key) {
-        const std::size_t need = key.size() + 3;  // quotes and colon
-        if (line_.size() - pos_ < need || line_[pos_] != '"' ||
-            line_.substr(pos_ + 1, key.size()) != key ||
-            line_[pos_ + 1 + key.size()] != '"' ||
-            line_[pos_ + 2 + key.size()] != ':') {
-            return false;
-        }
-        pos_ += need;
-        return true;
-    }
-
-    void expect_end() {
-        if (pos_ != line_.size()) {
-            parse_fail(line_no_, "trailing characters");
-        }
-    }
-
- private:
-    std::string_view line_;
-    std::size_t pos_ = 0;
-    std::size_t line_no_;
-};
-
-}  // namespace
-
 std::vector<TelemetrySnapshot> read_telemetry_jsonl(std::istream& in) {
     std::vector<TelemetrySnapshot> out;
     std::string line;
@@ -551,7 +438,7 @@ std::vector<TelemetrySnapshot> read_telemetry_jsonl(std::istream& in) {
         if (line.empty()) {
             continue;
         }
-        Scanner scan(line, line_no);
+        JsonLineScanner scan(line, line_no, "telemetry jsonl line ");
         TelemetrySnapshot s;
         scan.expect('{');
         scan.expect_key("seq");

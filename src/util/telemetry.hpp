@@ -20,9 +20,9 @@
 //   - the sampler only ever *reads* shared state; it draws no randomness
 //     and touches no simulator, so an attached session cannot change any
 //     simulation result (the engines' observer-neutrality tests pin this);
-//   - call sites in the engines go through SWARMAVAIL_TELEMETRY, a
+//   - call sites in the engines go through SWARMAVAIL_OBSERVE, a
 //     null-pointer branch when detached and compiled out entirely under
-//     SWARMAVAIL_TELEMETRY_DISABLED (the trace-off preset).
+//     SWARMAVAIL_OBSERVE_DISABLED (util/observe.hpp, the trace-off preset).
 //
 // StopRule is the one deliberate exception to observer neutrality: an
 // *opt-in* control hook that ends a replication batch or catalog sweep
@@ -63,8 +63,8 @@ inline void atomic_add(std::atomic<double>& target, double delta) noexcept {
 
 /// Run-level progress counters shared between the engines (writers) and
 /// the sampler thread (reader). All members are relaxed atomics; engines
-/// update them once per completed work unit (replication, swarm, shared-
-/// queue slice) — never per event — so the hot path stays untouched and
+/// update them once per completed work unit (replication, swarm) — never
+/// per event — so the hot path stays untouched and
 /// every published value is monotone except the queue-depth gauge.
 struct RunCounters {
     std::atomic<std::uint64_t> replications_total{0};
@@ -72,13 +72,12 @@ struct RunCounters {
     std::atomic<std::uint64_t> swarms_total{0};
     std::atomic<std::uint64_t> swarms_completed{0};
     std::atomic<std::uint64_t> events_dispatched{0};
-    /// Completed simulated seconds, summed over finished work units (and
-    /// advanced incrementally by the shared-queue engine's slices).
+    /// Completed simulated seconds, summed over finished work units.
     std::atomic<double> sim_time_advanced{0.0};
     /// Total simulated seconds the run intends to execute (0 if unknown).
     std::atomic<double> sim_time_target{0.0};
-    /// Pending-work gauge, last writer wins: event-queue depth in shared-
-    /// queue/single-sim runs, unclaimed fan-out indices under sim::Parallel.
+    /// Pending-work gauge, last writer wins: unclaimed fan-out indices
+    /// under sim::Parallel, queued requests in the planning server.
     std::atomic<double> queue_depth{0.0};
     /// Running XOR of completed work units' determinism fingerprints (see
     /// sim/fingerprint.hpp). XOR is commutative, so the value at run
@@ -230,7 +229,7 @@ struct TelemetryConfig {
 
 /// The live-telemetry harness. Owned by the caller, attached to engine
 /// configs by pointer; engines only touch counters()/tracker() (through
-/// SWARMAVAIL_TELEMETRY), the session owns the sampler thread and the
+/// SWARMAVAIL_OBSERVE), the session owns the sampler thread and the
 /// exporters' cadence.
 ///
 /// Lifecycle: construct, start() (spawns the sampler), attach to one or
@@ -310,20 +309,3 @@ void write_prometheus(const TelemetrySnapshot& snapshot, std::ostream& os);
 bool read_process_rss(std::uint64_t& rss_bytes, std::uint64_t& peak_rss_bytes);
 
 }  // namespace swarmavail::telemetry
-
-#if defined(SWARMAVAIL_TELEMETRY_DISABLED)
-#define SWARMAVAIL_TELEMETRY(session, ...) static_cast<void>(0)
-#else
-/// Engine-side telemetry call site, e.g.
-///   SWARMAVAIL_TELEMETRY(session, counters().swarms_completed.fetch_add(
-///       1, std::memory_order_relaxed));
-/// One null-pointer branch when no session is attached; removed entirely
-/// under SWARMAVAIL_TELEMETRY_DISABLED (the trace-off preset), which the
-/// CI symbol check relies on.
-#define SWARMAVAIL_TELEMETRY(session, ...)  \
-    do {                                    \
-        if ((session) != nullptr) {         \
-            (session)->__VA_ARGS__;         \
-        }                                   \
-    } while (false)
-#endif

@@ -113,21 +113,8 @@ TEST(CatalogEngine, ShardedBitIdenticalAcrossThreadCounts) {
     }
 }
 
-TEST(CatalogEngine, SharedQueueMatchesShardedBitExactly) {
-    const auto catalog = build_catalog(base_catalog_config(30));
-    const GreedyPopularity policy{4};
-    auto config = base_engine_config(2.0e4);
-
-    config.execution = ExecutionMode::kSharded;
-    config.policy.threads = 4;
-    const std::string sharded = report_json(run_catalog(catalog, policy, config));
-
-    config.execution = ExecutionMode::kSharedQueue;
-    EXPECT_EQ(report_json(run_catalog(catalog, policy, config)), sharded);
-}
-
-// The PR acceptance run: a 10k-file Zipf catalog bundled FixedK(8) — 1250
-// swarms — completes under every execution mode with bit-identical reports.
+// A 10k-file Zipf catalog bundled FixedK(8) — 1250 swarms — completes
+// with bit-identical reports at one and at four threads.
 TEST(CatalogEngine, TenThousandFileCatalogBitIdenticalEverywhere) {
     auto catalog_config = base_catalog_config(10000);
     catalog_config.aggregate_demand = 1.0;
@@ -144,9 +131,6 @@ TEST(CatalogEngine, TenThousandFileCatalogBitIdenticalEverywhere) {
     const std::string serial = report_json(report);
 
     config.policy.threads = 4;
-    EXPECT_EQ(report_json(run_catalog(catalog, policy, config)), serial);
-
-    config.execution = ExecutionMode::kSharedQueue;
     EXPECT_EQ(report_json(run_catalog(catalog, policy, config)), serial);
 }
 
@@ -224,7 +208,7 @@ TEST(CatalogEngine, PartitionedBudgetKeepsOfferedLoadConstant) {
 }
 
 TEST(CatalogEngine, TracedSwarmMatchesIsolatedRun) {
-#if defined(SWARMAVAIL_TRACING_DISABLED)
+#if defined(SWARMAVAIL_OBSERVE_DISABLED)
     GTEST_SKIP() << "trace call sites are compiled out in this build";
 #endif
     const auto catalog = build_catalog(base_catalog_config(12));
@@ -232,7 +216,7 @@ TEST(CatalogEngine, TracedSwarmMatchesIsolatedRun) {
     const auto plan = policy.assign(catalog);
 
     auto config = base_engine_config(2.0e4);
-    config.execution = ExecutionMode::kSharedQueue;  // interleaved on one queue
+    config.policy.threads = 4;
     config.traced_swarm = 1;
     sim::MemoryTraceSink catalog_sink;
     sim::Tracer catalog_tracer{catalog_sink};
@@ -295,51 +279,47 @@ TEST(CatalogEngine, ValidatesInputs) {
 
 TEST(CatalogEngine, TelemetryAttachmentIsObserverNeutral) {
     // The acceptance-criterion pin: a run with a live telemetry session
-    // produces a byte-identical report to a detached run, for both
-    // execution modes and several thread counts.
+    // produces a byte-identical report to a detached run at several thread
+    // counts.
     const auto catalog = build_catalog(base_catalog_config(30));
     const GreedyPopularity policy{4};
     auto config = base_engine_config(1.0e4);
     config.policy.threads = 1;
     const std::string detached = report_json(run_catalog(catalog, policy, config));
 
-    for (const ExecutionMode mode :
-         {ExecutionMode::kSharded, ExecutionMode::kSharedQueue}) {
-        for (std::size_t threads : {1u, 2u, 4u}) {
-            telemetry::MemoryTelemetryExporter ring;
-            telemetry::TelemetryConfig telemetry_config;
-            telemetry_config.interval_s = 0.005;
-            telemetry_config.exporters.push_back(&ring);
-            telemetry::TelemetrySession session{telemetry_config};
-            session.start();
+    for (std::size_t threads : {1u, 2u, 4u}) {
+        telemetry::MemoryTelemetryExporter ring;
+        telemetry::TelemetryConfig telemetry_config;
+        telemetry_config.interval_s = 0.005;
+        telemetry_config.exporters.push_back(&ring);
+        telemetry::TelemetrySession session{telemetry_config};
+        session.start();
 
-            config.execution = mode;
-            config.policy.threads = threads;
-            config.telemetry = &session;
-            const auto report = run_catalog(catalog, policy, config);
-            session.stop();
-            config.telemetry = nullptr;
+        config.policy.threads = threads;
+        config.telemetry = &session;
+        const auto report = run_catalog(catalog, policy, config);
+        session.stop();
+        config.telemetry = nullptr;
 
-            EXPECT_EQ(report_json(report), detached)
-                << "mode " << static_cast<int>(mode) << ", threads " << threads;
-            EXPECT_FALSE(report.stopped_early);
-            EXPECT_EQ(report.swarms_planned, report.swarms.size());
+        EXPECT_EQ(report_json(report), detached)
+            << "threads " << threads;
+        EXPECT_FALSE(report.stopped_early);
+        EXPECT_EQ(report.swarms_planned, report.swarms.size());
 
-            const auto& final_snapshot = ring.snapshots().back();
-            EXPECT_TRUE(final_snapshot.final_snapshot);
-#if !defined(SWARMAVAIL_TELEMETRY_DISABLED)
-            // The session really observed the run (under the trace-off
-            // preset the engine call sites compile out and stay at zero).
-            EXPECT_EQ(session.counters().swarms_total.load(), report.swarms.size());
-            EXPECT_EQ(session.counters().swarms_completed.load(),
-                      report.swarms.size());
-            EXPECT_GT(session.counters().events_dispatched.load(), 0u);
-            EXPECT_GT(session.counters().sim_time_advanced.load(), 0.0);
-            ASSERT_EQ(final_snapshot.tracked.size(), 1u);
-            EXPECT_EQ(final_snapshot.tracked[0].name, "catalog.swarm_unavailability");
-            EXPECT_EQ(final_snapshot.tracked[0].count, report.swarms.size());
+        const auto& final_snapshot = ring.snapshots().back();
+        EXPECT_TRUE(final_snapshot.final_snapshot);
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
+        // The session really observed the run (under the trace-off
+        // preset the engine call sites compile out and stay at zero).
+        EXPECT_EQ(session.counters().swarms_total.load(), report.swarms.size());
+        EXPECT_EQ(session.counters().swarms_completed.load(),
+                  report.swarms.size());
+        EXPECT_GT(session.counters().events_dispatched.load(), 0u);
+        EXPECT_GT(session.counters().sim_time_advanced.load(), 0.0);
+        ASSERT_EQ(final_snapshot.tracked.size(), 1u);
+        EXPECT_EQ(final_snapshot.tracked[0].name, "catalog.swarm_unavailability");
+        EXPECT_EQ(final_snapshot.tracked[0].count, report.swarms.size());
 #endif
-        }
     }
 }
 
@@ -424,7 +404,7 @@ TEST(CatalogEngine, ThousandFileCatalogStreamsPeriodicTelemetry) {
         EXPECT_LE(snapshots[i].replications_completed,
                   snapshots[i + 1].replications_completed);
     }
-#if !defined(SWARMAVAIL_TELEMETRY_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     EXPECT_GE(snapshots.back().swarms_completed, 250u);
     EXPECT_GT(snapshots.back().events_dispatched, 0u);
     ASSERT_EQ(snapshots.back().tracked.size(), 1u);
@@ -440,15 +420,6 @@ TEST(CatalogEngine, ThousandFileCatalogStreamsPeriodicTelemetry) {
     EXPECT_TRUE(telemetry::validate_prometheus_text(prom_text.str(), &error))
         << error;
     std::remove(prom_path.c_str());
-}
-
-TEST(CatalogEngine, StopRuleRejectsSharedQueueExecution) {
-    const auto catalog = build_catalog(base_catalog_config(4));
-    auto config = base_engine_config(1.0e3);
-    config.execution = ExecutionMode::kSharedQueue;
-    config.stop_rule = telemetry::StopRule{0.1, 4};
-    EXPECT_THROW((void)run_catalog(catalog, NoBundling{}, config),
-                 std::invalid_argument);
 }
 
 TEST(CatalogEngine, ReportJsonRoundTripsDeterministically) {

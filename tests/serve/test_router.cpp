@@ -163,7 +163,7 @@ TEST(ServeRouterPlanning, RefineRunsSimulationWithFingerprint) {
     EXPECT_EQ(body->find("swarms")->as_number(), 2.0);  // 4 files / K=2
     const std::string fingerprint = body->find("fingerprint")->as_string();
     EXPECT_EQ(fingerprint.size(), 16U);
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     EXPECT_NE(fingerprint, "0000000000000000");
     EXPECT_NE(router.refine_fingerprint_xor(), 0U);
 #endif

@@ -204,7 +204,7 @@ TEST(PlanningServerTest, IdenticalStreamsGetBitIdenticalAnswersAcrossThreadCount
     const std::string& refine_reply = per_thread_count[0][2];
     EXPECT_NE(refine_reply.find("\"fingerprint\":\""), std::string::npos)
         << refine_reply;
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     EXPECT_EQ(refine_reply.find("\"fingerprint\":\"0000000000000000\""),
               std::string::npos);
 #endif
@@ -360,7 +360,7 @@ TEST(PlanningServerTest, SpansDoNotChangeResponseBytesAtAnyThreadCount) {
                 EXPECT_EQ(replies, baseline)
                     << "threads=" << threads << " spans=" << spans_on;
             }
-#if !defined(SWARMAVAIL_SPANS_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
             if (spans_on) {
                 // The drain at stop() delivered the rings to our sink.
                 EXPECT_FALSE(sink.records().empty());
@@ -453,7 +453,7 @@ TEST(PlanningServerTest, StatsMergeIsShapeIdenticalAcrossThreadsAndSpans) {
     }
 }
 
-#if !defined(SWARMAVAIL_SPANS_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
 // A request over the slow threshold must arrive at the slow sink as one
 // contiguous block that reconstructs the full stage breakdown.
 TEST(PlanningServerTest, SlowQueryLogReconstructsPerRequestBreakdown) {

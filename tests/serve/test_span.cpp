@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace serve = swarmavail::serve;
@@ -89,6 +91,30 @@ TEST(SpanJsonl, MalformedLinesAreRejectedWithLineNumbers) {
         EXPECT_THROW(static_cast<void>(serve::read_spans_jsonl(in)),
                      std::invalid_argument)
             << bad;
+    }
+
+    // Verb, lane and worker are 16-bit fields: a wider value is an error on
+    // its own line, not a silently truncated record.
+    const SpanRecord record = make_record(1, SpanStage::kDecode, 0.25, 0.5, 69);
+    std::ostringstream good;
+    JsonlSpanSink sink(good);
+    sink.write(&record, 1);
+    for (const auto& [field, value] :
+         {std::pair{"\"verb\":1,", "\"verb\":70000,"},
+          std::pair{"\"lane\":0,", "\"lane\":65537,"},
+          std::pair{"\"worker\":1,", "\"worker\":65536,"}}) {
+        std::string wide = good.str();
+        const std::size_t at = wide.find(field);
+        ASSERT_NE(at, std::string::npos) << field;
+        wide.replace(at, std::string(field).size(), value);
+        std::istringstream in(good.str() + wide);
+        try {
+            static_cast<void>(serve::read_spans_jsonl(in));
+            ADD_FAILURE() << "accepted " << value;
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+                << e.what();
+        }
     }
 }
 

@@ -195,7 +195,7 @@ TEST(EventQueueDifferential, AuditModeStaysConsistent) {
     run_differential(config);
 }
 
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
 TEST(EventQueueDifferential, FingerprintMatchesReferenceDispatchOrder) {
     // The queue folds (when, seq, 0) per dispatch; folding the reference
     // heap's dispatch stream into an identically seeded chain must land on

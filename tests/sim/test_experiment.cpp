@@ -153,7 +153,7 @@ TEST(RunControl, NoStopRuleIsBitIdenticalToPolicyOverload) {
 
         const auto final_snapshot = ring.snapshots().back();
         EXPECT_TRUE(final_snapshot.final_snapshot);
-#if !defined(SWARMAVAIL_TELEMETRY_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
         // ...and the run is genuinely observable: the counters advanced and
         // the tracker saw one run mean per replication under the cell label.
         // (Under the trace-off preset the engine call sites compile out, so

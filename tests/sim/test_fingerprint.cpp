@@ -1,8 +1,7 @@
 // Determinism-fingerprint tests: the hash chain itself, observer
 // neutrality (fingerprint on == off results, bit for bit), and the
-// cross-execution invariances the repo's determinism contract promises —
-// identical digests at every thread count, sharded == shared-queue — plus
-// the converse: a seed perturbation that changes the results must change
+// cross-execution invariance the repo's determinism contract promises —
+// identical digests at every thread count — plus the converse: a seed perturbation that changes the results must change
 // the digest.
 #include "sim/fingerprint.hpp"
 
@@ -125,7 +124,7 @@ void expect_same_statistics(const AvailabilitySimResult& a,
 TEST(FingerprintAvailability, ReproducibleAcrossRuns) {
     const auto first = run_availability_sim(availability_config(11));
     const auto second = run_availability_sim(availability_config(11));
-#if defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if defined(SWARMAVAIL_OBSERVE_DISABLED)
     EXPECT_EQ(first.fingerprint, 0U);
     EXPECT_EQ(second.fingerprint, 0U);
 #else
@@ -147,7 +146,7 @@ TEST(FingerprintAvailability, ObserverNeutralityOnEqualsOff) {
 }
 
 TEST(FingerprintAvailability, SeedPerturbationMovesDigestWithResults) {
-#if defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if defined(SWARMAVAIL_OBSERVE_DISABLED)
     GTEST_SKIP() << "fingerprinting compiled out";
 #else
     const auto base = run_availability_sim(availability_config(13));
@@ -178,7 +177,7 @@ TEST(FingerprintSwarm, ReproducibleAndNeutral) {
     const auto second = swarm::run_swarm_sim(config);
     EXPECT_EQ(first.fingerprint, second.fingerprint);
     EXPECT_EQ(first.fingerprint_events, second.fingerprint_events);
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     EXPECT_NE(first.fingerprint, 0U);
 #endif
     config.fingerprint = false;
@@ -190,7 +189,7 @@ TEST(FingerprintSwarm, ReproducibleAndNeutral) {
 }
 
 TEST(FingerprintSwarm, SeedPerturbationMovesDigest) {
-#if defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if defined(SWARMAVAIL_OBSERVE_DISABLED)
     GTEST_SKIP() << "fingerprinting compiled out";
 #else
     const auto base = swarm::run_swarm_sim(swarm_config(21));
@@ -238,27 +237,9 @@ TEST(FingerprintCatalog, IdenticalAcrossThreadCounts) {
                       reports[0].swarms[s].result.fingerprint);
         }
     }
-#if !defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     EXPECT_NE(reports[0].fingerprint, 0U);
 #endif
-}
-
-TEST(FingerprintCatalog, SharedQueueEqualsSharded) {
-    const auto cat = catalog::build_catalog(catalog_config(9));
-    const catalog::FixedK policy{2};
-    auto config = engine_config();
-    const auto sharded = catalog::run_catalog(cat, policy, config);
-    config.execution = catalog::ExecutionMode::kSharedQueue;
-    const auto shared = catalog::run_catalog(cat, policy, config);
-    EXPECT_EQ(shared.fingerprint, sharded.fingerprint);
-    ASSERT_EQ(shared.swarms.size(), sharded.swarms.size());
-    for (std::size_t s = 0; s < shared.swarms.size(); ++s) {
-        EXPECT_EQ(shared.swarms[s].result.fingerprint,
-                  sharded.swarms[s].result.fingerprint)
-            << "per-swarm digest diverged between executions at swarm " << s;
-        EXPECT_EQ(shared.swarms[s].result.fingerprint_events,
-                  sharded.swarms[s].result.fingerprint_events);
-    }
 }
 
 TEST(FingerprintCatalog, RuntimeOffZeroesDigestsOnly) {

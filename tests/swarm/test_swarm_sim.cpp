@@ -161,7 +161,7 @@ TEST(SwarmSim, TelemetryAttachmentIsObserverNeutral) {
             EXPECT_EQ(observed[i].download_times.mean(),
                       detached[i].download_times.mean());
         }
-#if !defined(SWARMAVAIL_TELEMETRY_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
         // The counters observed all four replications (trace-off preset:
         // the engine call sites compile out and the counters stay zero).
         EXPECT_EQ(session.counters().replications_total.load(), 4u);

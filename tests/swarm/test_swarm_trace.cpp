@@ -74,7 +74,7 @@ TEST(SwarmTrace, JsonlRoundTripReproducesAggregateObservablesExactly) {
     const SwarmSimResult result = run_swarm_sim(config);
     std::istringstream in{os.str()};
     const ParsedTrace trace = sim::read_trace_jsonl(in);
-#if defined(SWARMAVAIL_TRACING_DISABLED)
+#if defined(SWARMAVAIL_OBSERVE_DISABLED)
     // Call sites are compiled out: the trace is empty and only the metrics
     // pins below apply.
     EXPECT_TRUE(trace.records.empty());
@@ -219,7 +219,7 @@ TEST(AvailabilitySimTrace, MetricsMirrorAggregateCountsExactly) {
     EXPECT_EQ(downloads->stats().mean(), result.download_times.mean());
     EXPECT_EQ(downloads->stats().variance(), result.download_times.variance());
 
-#if !defined(SWARMAVAIL_TRACING_DISABLED)
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
     // Traced per-peer download times re-accumulate to the same stream.
     StreamingStats traced;
     std::uint64_t busy_ends = 0;

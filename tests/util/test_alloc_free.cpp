@@ -81,7 +81,7 @@ TEST(AllocFree, PassingRequireAndEnsureDoNotAllocate) {
 }
 
 TEST(AllocFree, SwarmSimAllocatesLessThanOncePerEvent) {
-#if defined(SWARMAVAIL_FINGERPRINT_DISABLED)
+#if defined(SWARMAVAIL_OBSERVE_DISABLED)
     GTEST_SKIP() << "fingerprinting (the event count) is compiled out";
 #else
     // Figure 6(a), shortened: homogeneous mu = 50 KBps, publisher 100 KBps

@@ -63,7 +63,7 @@ TEST(Profiler, MacroScopesAccumulateUnderTheirName) {
         SWARMAVAIL_PROF_SCOPE("test.macro_scope");
     }
     Profiler::set_enabled(false);
-#if defined(SWARMAVAIL_PROFILING_DISABLED)
+#if defined(SWARMAVAIL_OBSERVE_DISABLED)
     EXPECT_EQ(calls_of(Profiler::snapshot(), "test.macro_scope"), 0u);
 #else
     EXPECT_EQ(calls_of(Profiler::snapshot(), "test.macro_scope"), 3u);

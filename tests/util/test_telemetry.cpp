@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/observe.hpp"
 #include "util/stats.hpp"
 
 namespace swarmavail::telemetry {
@@ -109,7 +110,10 @@ TelemetrySnapshot sample_snapshot() {
 }
 
 TEST(JsonlExporter, RoundTripsBitExactly) {
-    const TelemetrySnapshot original = sample_snapshot();
+    TelemetrySnapshot original = sample_snapshot();
+    // Tracked names are free text: quotes, backslashes and control
+    // characters must survive the writer's escaping.
+    original.tracked.push_back({"a\"b\\c\n", 1, 0.5, 0.0, 0.5, 0.5, 0.5});
     std::ostringstream os;
     JsonlTelemetryExporter exporter{os};
     exporter.export_snapshot(original);
@@ -138,22 +142,32 @@ TEST(JsonlExporter, RoundTripsBitExactly) {
     EXPECT_EQ(back.eta_s, original.eta_s);
     EXPECT_EQ(back.rss_bytes, original.rss_bytes);
     EXPECT_EQ(back.peak_rss_bytes, original.peak_rss_bytes);
-    ASSERT_EQ(back.tracked.size(), 2u);
+    ASSERT_EQ(back.tracked.size(), 3u);
     EXPECT_EQ(back.tracked[0].name, "catalog.swarm_unavailability");
     EXPECT_EQ(back.tracked[0].count, 13u);
     EXPECT_EQ(back.tracked[0].mean, 0.071234);
     EXPECT_EQ(back.tracked[0].ci95_halfwidth, original.tracked[0].ci95_halfwidth);
     EXPECT_EQ(back.tracked[1].last, 820.125);
+    EXPECT_EQ(back.tracked[2].name, original.tracked[2].name);
     EXPECT_EQ(parsed[1].sequence, 8u);
     EXPECT_TRUE(parsed[1].tracked.empty());
 }
 
 TEST(ReadTelemetryJsonl, RejectsMalformedStreams) {
+    // A well-formed line whose sequence number does not fit in 64 bits.
+    std::ostringstream os;
+    JsonlTelemetryExporter exporter{os};
+    exporter.export_snapshot(TelemetrySnapshot{});
+    std::string overflow = os.str();
+    ASSERT_EQ(overflow.rfind("{\"seq\":0,", 0), 0u);
+    overflow.replace(0, 9, "{\"seq\":18446744073709551617,");
+
     const std::vector<std::string> bad{
         "not json at all\n",
         "{\"seq\":1\n",                       // truncated object
         "{\"wrong_first_key\":1}\n",          // wrong shape
         "{\"seq\":\"oops\"}\n",               // wrong value type
+        overflow,                             // 2^64 + 1 must not wrap to 1
     };
     for (const std::string& text : bad) {
         std::istringstream in{text};
@@ -312,13 +326,13 @@ TEST(TelemetrySession, RejectsNonPositiveIntervalAndNullExporters) {
 TEST(TelemetryMacro, NullSessionIsANoOp) {
     TelemetrySession* session = nullptr;
     // Must compile and do nothing — the detached-engine code path.
-    SWARMAVAIL_TELEMETRY(session, counters().events_dispatched.fetch_add(
-                                      1, std::memory_order_relaxed));
+    SWARMAVAIL_OBSERVE(session, counters().events_dispatched.fetch_add(
+                                    1, std::memory_order_relaxed));
     TelemetrySession live{TelemetryConfig{60.0, {}}};
     session = &live;
-    SWARMAVAIL_TELEMETRY(session, counters().events_dispatched.fetch_add(
-                                      7, std::memory_order_relaxed));
-#if defined(SWARMAVAIL_TELEMETRY_DISABLED)
+    SWARMAVAIL_OBSERVE(session, counters().events_dispatched.fetch_add(
+                                    7, std::memory_order_relaxed));
+#if defined(SWARMAVAIL_OBSERVE_DISABLED)
     // Trace-off preset: the macro compiles to nothing even with a session.
     EXPECT_EQ(live.counters().events_dispatched.load(), 0u);
 #else

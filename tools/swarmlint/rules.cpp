@@ -385,36 +385,63 @@ void check_obs_no_engine_include(RuleContext& ctx) {
     }
 }
 
-void check_obs_guarded_telemetry(RuleContext& ctx) {
-    if (classify_path(ctx.file.path()) != Layer::kEngine) {
+/// The one compile-time gate every observer touch keys on.
+constexpr string_view kObserveGuard = "SWARMAVAIL_OBSERVE_DISABLED";
+
+/// What counts as an observer touch in engine and service files. A pointer
+/// name is touched when it is dereferenced (`name->`); copying the pointer
+/// around or testing a runtime bool of the same name is not a touch, since
+/// those survive the trace-off build as dead data.
+struct ObserverTouch {
+    string_view name;
+    string_view observer;
+    bool any_use;         ///< every mention is a touch (a type name)
+    bool namespace_call;  ///< `name::fn(` is a touch too (a namespace)
+};
+
+constexpr std::array<ObserverTouch, 9> kObserverTouches = {{
+    {"telemetry", "telemetry", false, true},
+    {"fingerprint", "fingerprint", false, false},
+    {"fingerprint_", "fingerprint", false, false},
+    {"Fingerprint", "fingerprint", true, false},
+    {"spans", "span", false, false},
+    {"spans_", "span", false, false},
+    {"span_hub_", "span", false, false},
+    {"tracer", "tracer", false, false},
+    {"tracer_", "tracer", false, false},
+}};
+
+void check_obs_guarded(RuleContext& ctx) {
+    const Layer layer = classify_path(ctx.file.path());
+    if (layer != Layer::kEngine && layer != Layer::kService) {
         return;
     }
     const string_view code = ctx.file.code();
     for_each_identifier(code, [&](string_view name, std::size_t off) {
-        if (name != "telemetry") {
+        const auto touch_it =
+            std::find_if(kObserverTouches.begin(), kObserverTouches.end(),
+                         [&](const ObserverTouch& t) { return t.name == name; });
+        if (touch_it == kObserverTouches.end()) {
             return;
         }
         const int line = ctx.file.line_of_offset(off);
         if (ctx.file.is_directive_line(line)) {
             return;
         }
-        std::size_t p = skip_space(code, off + name.size());
-        bool touch = false;
-        if (p + 1 < code.size() && code[p] == '-' && code[p + 1] == '>') {
-            touch = true;  // dereference of an attached session
-        } else if (p + 1 < code.size() && code[p] == ':' && code[p + 1] == ':') {
-            // Qualified name: a *call* into the namespace is a touch; a type
-            // mention (telemetry::RunCounters* x) is not.
+        const std::size_t p = skip_space(code, off + name.size());
+        bool touch = touch_it->any_use ||
+                     (p + 1 < code.size() && code[p] == '-' && code[p + 1] == '>');
+        if (!touch && touch_it->namespace_call && p + 1 < code.size() &&
+            code[p] == ':' && code[p + 1] == ':') {
+            // A *call* into the namespace is a touch; a type mention
+            // (telemetry::RunCounters* x) is not.
             std::size_t q = skip_space(code, p + 2);
             while (q < code.size() && is_ident_char(code[q])) {
                 ++q;
             }
             touch = next_nonspace(code, q) == '(';
         }
-        if (!touch) {
-            return;
-        }
-        if (ctx.file.guard_mentions(line, "SWARMAVAIL_TELEMETRY_DISABLED")) {
+        if (!touch || ctx.file.guard_mentions(line, kObserveGuard)) {
             return;
         }
         const string_view line_code = ctx.file.code_line(line);
@@ -423,71 +450,33 @@ void check_obs_guarded_telemetry(RuleContext& ctx) {
                 return;  // routed through a compile-out-able macro
             }
         }
-        ctx.report("obs-guarded-telemetry", line,
-                   "telemetry touch outside an #if/#ifndef region keyed on "
-                   "SWARMAVAIL_TELEMETRY_DISABLED (and not via a compile-out "
-                   "macro); the trace-off preset must erase every observer call "
-                   "site from the engines");
-    });
-}
-
-void check_obs_guarded_fingerprint(RuleContext& ctx) {
-    if (classify_path(ctx.file.path()) != Layer::kEngine) {
-        return;
-    }
-    const string_view code = ctx.file.code();
-    for_each_identifier(code, [&](string_view name, std::size_t off) {
-        // A touch is a dereference of an attached fingerprint pointer or
-        // any use of the Fingerprint type (members, locals, constructions).
-        // Copying the runtime `bool fingerprint` config flag around is not
-        // a touch: it survives the trace-off build as a dead bool.
-        const bool pointer = name == "fingerprint" || name == "fingerprint_";
-        const bool type = name == "Fingerprint";
-        if (!pointer && !type) {
-            return;
-        }
-        const int line = ctx.file.line_of_offset(off);
-        if (ctx.file.is_directive_line(line)) {
-            return;
-        }
-        bool touch = type;
-        if (pointer) {
-            const std::size_t p = skip_space(code, off + name.size());
-            touch = p + 1 < code.size() && code[p] == '-' && code[p + 1] == '>';
-        }
-        if (!touch) {
-            return;
-        }
-        if (ctx.file.guard_mentions(line, "SWARMAVAIL_FINGERPRINT_DISABLED")) {
-            return;
-        }
-        const string_view line_code = ctx.file.code_line(line);
-        for (const std::string& macro : ctx.options.compile_out_macros) {
-            if (line_code.find(macro) != string_view::npos) {
-                return;  // routed through a compile-out-able macro
-            }
-        }
-        ctx.report("obs-guarded-fingerprint", line,
-                   "fingerprint touch outside an #if/#ifndef region keyed on "
-                   "SWARMAVAIL_FINGERPRINT_DISABLED (and not via the "
-                   "SWARMAVAIL_FPRINT macro); the trace-off preset must erase "
-                   "every fingerprint call site from the engines");
+        std::string message(touch_it->observer);
+        message += " touch ('";
+        message += name;
+        message +=
+            "') outside an #if/#ifndef region keyed on SWARMAVAIL_OBSERVE_DISABLED "
+            "(and not via SWARMAVAIL_OBSERVE); the trace-off preset must erase "
+            "every observer call site from the engines and the service";
+        ctx.report("obs-guarded", line, std::move(message));
     });
 }
 
 void check_obs_macro_compile_out(RuleContext& ctx) {
-    if (classify_path(ctx.file.path()) != Layer::kEngine) {
+    const Layer layer = classify_path(ctx.file.path());
+    if (layer != Layer::kEngine && layer != Layer::kService) {
         return;
     }
+    static constexpr std::array<string_view, 6> kObserverWords = {
+        "OBSERVE", "PROF", "TRACE", "TELEMETRY", "FPRINT", "SPAN",
+    };
     for_each_identifier(ctx.file.code(), [&](string_view name, std::size_t off) {
         if (!starts_with(name, "SWARMAVAIL_")) {
             return;
         }
         const string_view tail = name.substr(string_view{"SWARMAVAIL_"}.size());
-        const bool observability = starts_with(tail, "TRACE") ||
-                                   starts_with(tail, "TELEMETRY") ||
-                                   starts_with(tail, "PROF") ||
-                                   starts_with(tail, "FPRINT");
+        const bool observability =
+            std::any_of(kObserverWords.begin(), kObserverWords.end(),
+                        [&](string_view word) { return starts_with(tail, word); });
         if (!observability || ends_with(name, "_DISABLED")) {
             return;
         }
@@ -500,47 +489,10 @@ void check_obs_macro_compile_out(RuleContext& ctx) {
         }
         ctx.report("obs-macro-compile-out", line,
                    "observability macro '" + std::string(name) +
-                       "' is not in the compile-out-able set derived from the "
-                       "trace-off preset's headers; every trace/telemetry/profile "
-                       "call site must vanish when those features are disabled");
-    });
-}
-
-void check_svc_guarded_span(RuleContext& ctx) {
-    if (classify_path(ctx.file.path()) != Layer::kService) {
-        return;
-    }
-    const string_view code = ctx.file.code();
-    for_each_identifier(code, [&](string_view name, std::size_t off) {
-        // A touch is a dereference of the span scratch or the hub. Copying
-        // the pointers around (or stamping POD timestamps into a Task) is
-        // not a touch: those survive the trace-off build as dead data.
-        if (name != "spans" && name != "spans_" && name != "span_hub_") {
-            return;
-        }
-        const int line = ctx.file.line_of_offset(off);
-        if (ctx.file.is_directive_line(line)) {
-            return;
-        }
-        const std::size_t p = skip_space(code, off + name.size());
-        if (p + 1 >= code.size() || code[p] != '-' || code[p + 1] != '>') {
-            return;
-        }
-        if (ctx.file.guard_mentions(line, "SWARMAVAIL_SPANS_DISABLED")) {
-            return;
-        }
-        const string_view line_code = ctx.file.code_line(line);
-        for (const std::string& macro : ctx.options.compile_out_macros) {
-            if (line_code.find(macro) != string_view::npos) {
-                return;  // routed through a compile-out-able macro
-            }
-        }
-        ctx.report("svc-guarded-span", line,
-                   "span emission site ('" + std::string(name) +
-                       "->') outside an #if/#ifndef region keyed on "
-                       "SWARMAVAIL_SPANS_DISABLED (and not via the SWARMAVAIL_SPAN "
-                       "macro); the trace-off preset must erase every span call "
-                       "site from the service layer");
+                       "' is not in the compile-out-able set (SWARMAVAIL_OBSERVE, "
+                       "SWARMAVAIL_PROF_SCOPE) derived from the observer headers; "
+                       "every observer call site must vanish under "
+                       "SWARMAVAIL_OBSERVE_DISABLED");
     });
 }
 
@@ -784,7 +736,8 @@ void RuleContext::report(std::string rule, int line, std::string message) {
 }
 
 Layer classify_path(std::string_view path) {
-    if (starts_with(path, "src/util/metrics.") || starts_with(path, "src/util/telemetry.") ||
+    if (starts_with(path, "src/util/observe.") || starts_with(path, "src/util/metrics.") ||
+        starts_with(path, "src/util/telemetry.") ||
         starts_with(path, "src/util/profile.") || starts_with(path, "src/sim/trace.") ||
         starts_with(path, "src/sim/fingerprint.") ||
         starts_with(path, "src/sim/flight_recorder.") ||
@@ -846,31 +799,22 @@ const std::vector<Rule>& all_rules() {
          "hidden globals couple runs and threads.",
          &check_det_static_state},
         {"obs-no-engine-include",
-         "Observer files (util/metrics, util/telemetry, util/profile, "
-         "sim/trace) must not include engine headers; observation is one-way.",
+         "Observer files (util/observe, util/metrics, util/telemetry, "
+         "util/profile, sim/trace, sim/fingerprint, sim/flight_recorder, "
+         "serve/span) must not include engine headers; observation is one-way.",
          &check_obs_no_engine_include},
-        {"obs-guarded-telemetry",
-         "Every telemetry touch in an engine file must sit behind "
-         "SWARMAVAIL_TELEMETRY_DISABLED guards or a compile-out-able macro, so "
-         "the trace-off preset erases it.",
-         &check_obs_guarded_telemetry},
-        {"obs-guarded-fingerprint",
-         "Every fingerprint touch in an engine file (Fingerprint type use or "
-         "dereference of an attached fingerprint pointer) must sit behind "
-         "SWARMAVAIL_FINGERPRINT_DISABLED guards or the SWARMAVAIL_FPRINT "
-         "macro, so the trace-off preset erases it.",
-         &check_obs_guarded_fingerprint},
+        {"obs-guarded",
+         "Every observer touch in an engine or service file (telemetry, "
+         "fingerprint, span or tracer dereference; telemetry namespace call; "
+         "Fingerprint type use) must sit behind SWARMAVAIL_OBSERVE_DISABLED "
+         "guards or the SWARMAVAIL_OBSERVE macro, so the trace-off preset "
+         "erases it.",
+         &check_obs_guarded},
         {"obs-macro-compile-out",
-         "Observability macros used by engines must come from the "
-         "compile-out-able set defined by the trace/telemetry/profile headers "
-         "(the trace-off preset's macro set).",
+         "Observability macros used by engines and the service must come from "
+         "the compile-out-able set defined by the observer headers "
+         "(SWARMAVAIL_OBSERVE and SWARMAVAIL_PROF_SCOPE).",
          &check_obs_macro_compile_out},
-        {"svc-guarded-span",
-         "Every span touch in a service file (dereference of the RequestSpans "
-         "scratch or the SpanHub) must sit behind SWARMAVAIL_SPANS_DISABLED "
-         "guards or the SWARMAVAIL_SPAN macro, so the trace-off preset erases "
-         "it.",
-         &check_svc_guarded_span},
         {"contract-require-numeric",
          "Public functions declared in src/ headers that take raw "
          "double/float parameters must contain a SWARMAVAIL_REQUIRE-family "
@@ -981,9 +925,9 @@ void collect_compile_out_macros(const SourceFile& header, std::set<std::string>&
             continue;
         }
         // Compile-out-able := defined inside a region whose guard condition
-        // names the corresponding *_DISABLED toggle (both branches of such a
-        // region define the macro; one of them as a no-op).
-        if (header.guard_mentions(line, "_DISABLED")) {
+        // names SWARMAVAIL_OBSERVE_DISABLED (both branches of such a region
+        // define the macro; one of them as a no-op).
+        if (header.guard_mentions(line, kObserveGuard)) {
             out.insert(std::string(name));
         }
     }

@@ -44,15 +44,13 @@ struct NumericDeclaration {
 
 struct LintOptions {
     /// Observability macros proven compile-out-able (defined as no-ops under
-    /// a *_DISABLED branch of their home header). Engine call sites may only
-    /// use these. Defaults cover the trace-off preset's macro set; the
-    /// driver re-derives the set from the real headers when linting a repo.
+    /// a SWARMAVAIL_OBSERVE_DISABLED branch of their home header). Engine and
+    /// service call sites may only use these. Defaults cover the trace-off
+    /// preset's macro set; lint_sources re-derives the set from the real
+    /// headers when linting a repo.
     std::set<std::string> compile_out_macros = {
-        "SWARMAVAIL_TRACE",
-        "SWARMAVAIL_TELEMETRY",
+        "SWARMAVAIL_OBSERVE",
         "SWARMAVAIL_PROF_SCOPE",
-        "SWARMAVAIL_FPRINT",
-        "SWARMAVAIL_SPAN",
     };
 
     /// Header-declared functions with raw double/float parameters, indexed
@@ -69,8 +67,8 @@ struct LintOptions {
 /// rule families apply.
 enum class Layer {
     kEngine,    ///< result-producing: sim/swarm/catalog/model/queueing/measurement
-    kObserver,  ///< util/metrics, util/telemetry, util/profile, sim/trace,
-                ///< sim/fingerprint, sim/flight_recorder, serve/span
+    kObserver,  ///< util/observe, util/metrics, util/telemetry, util/profile,
+                ///< sim/trace, sim/fingerprint, sim/flight_recorder, serve/span
     kRandom,    ///< util/random — the one home for entropy primitives
     kSupport,   ///< remaining util/ (stats, check, ...) — result-adjacent
     kService,   ///< src/serve/ — the planning daemon. Wall clocks are its
@@ -110,7 +108,8 @@ void collect_numeric_declarations(const SourceFile& header,
                                   std::vector<NumericDeclaration>& out);
 
 /// Scans an observability header for SWARMAVAIL_* macros defined as no-ops
-/// under a *_DISABLED preprocessor branch, adding them to `out`.
+/// under a SWARMAVAIL_OBSERVE_DISABLED preprocessor branch, adding them to
+/// `out`.
 void collect_compile_out_macros(const SourceFile& header, std::set<std::string>& out);
 
 }  // namespace swarmlint
