@@ -81,33 +81,15 @@ class PieceSet {
     template <typename Fn>
     void for_each_held(Fn&& fn) const {
         const std::uint64_t* w = words();
-        for (std::size_t wi = 0; wi < num_words(); ++wi) {
-            std::uint64_t word = w[wi];
-            while (word != 0) {
-                const auto bit = static_cast<std::size_t>(std::countr_zero(word));
-                fn(wi * kWordBits + bit);
-                word &= word - 1;
-            }
-        }
+        for_each_bit([w](std::size_t wi) { return w[wi]; }, fn);
     }
 
     /// Invokes fn(piece) for every missing piece in ascending index order
-    /// (the swarm simulator's rarest-first candidate enumeration: fully
-    /// held words cost one compare). fn must not mutate this set.
+    /// (fully held words cost one compare). fn must not mutate this set.
     template <typename Fn>
     void for_each_missing(Fn&& fn) const {
         const std::uint64_t* w = words();
-        for (std::size_t wi = 0; wi < num_words(); ++wi) {
-            std::uint64_t word = ~w[wi];
-            if (wi + 1 == num_words()) {
-                word &= tail_mask();
-            }
-            while (word != 0) {
-                const auto bit = static_cast<std::size_t>(std::countr_zero(word));
-                fn(wi * kWordBits + bit);
-                word &= word - 1;
-            }
-        }
+        for_each_bit([w](std::size_t wi) { return ~w[wi]; }, fn);
     }
 
     /// Like for_each_missing, but also skips pieces present in `excluded`
@@ -120,17 +102,27 @@ class PieceSet {
                 "PieceSet::for_each_missing_excluding: size mismatch");
         const std::uint64_t* w = words();
         const std::uint64_t* x = excluded.words();
-        for (std::size_t wi = 0; wi < num_words(); ++wi) {
-            std::uint64_t word = ~(w[wi] | x[wi]);
-            if (wi + 1 == num_words()) {
-                word &= tail_mask();
-            }
-            while (word != 0) {
-                const auto bit = static_cast<std::size_t>(std::countr_zero(word));
-                fn(wi * kWordBits + bit);
-                word &= word - 1;
-            }
-        }
+        for_each_bit([w, x](std::size_t wi) { return ~(w[wi] | x[wi]); }, fn);
+    }
+
+    /// Like for_each_missing_excluding, restricted to pieces present in
+    /// `mask` or `mask_too` (all sets the same size): the swarm simulator's
+    /// walk over a peer's obtainable pieces, where a word with none costs
+    /// one AND. Visits exactly the pieces for_each_missing_excluding would
+    /// visit that lie in mask | mask_too, in the same ascending order.
+    template <typename Fn>
+    void for_each_missing_masked(const PieceSet& excluded, const PieceSet& mask,
+                                 const PieceSet& mask_too, Fn&& fn) const {
+        require(excluded.num_pieces_ == num_pieces_ && mask.num_pieces_ == num_pieces_ &&
+                    mask_too.num_pieces_ == num_pieces_,
+                "PieceSet::for_each_missing_masked: size mismatch");
+        const std::uint64_t* w = words();
+        const std::uint64_t* x = excluded.words();
+        const std::uint64_t* m = mask.words();
+        const std::uint64_t* m2 = mask_too.words();
+        for_each_bit(
+            [w, x, m, m2](std::size_t wi) { return ~(w[wi] | x[wi]) & (m[wi] | m2[wi]); },
+            fn);
     }
 
  private:
@@ -145,6 +137,25 @@ class PieceSet {
 
     [[nodiscard]] std::size_t num_words() const noexcept {
         return (num_pieces_ + kWordBits - 1) / kWordBits;
+    }
+
+    /// The scans' shared loop: invokes fn(piece) for every set bit of
+    /// word_at(0), word_at(1), ... in ascending order. Bits past the last
+    /// piece are masked off, so word_at may complement freely.
+    template <typename WordAt, typename Fn>
+    void for_each_bit(WordAt word_at, Fn& fn) const {
+        const std::size_t last = num_words() - 1;
+        for (std::size_t wi = 0; wi <= last; ++wi) {
+            std::uint64_t word = word_at(wi);
+            if (wi == last) {
+                word &= tail_mask();
+            }
+            while (word != 0) {
+                const auto bit = static_cast<std::size_t>(std::countr_zero(word));
+                fn(wi * kWordBits + bit);
+                word &= word - 1;
+            }
+        }
     }
 
     // Storage accessors: one inline word when the bitmap fits (heap_words_

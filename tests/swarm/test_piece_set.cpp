@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <stdexcept>
+#include <vector>
 
 namespace swarmavail::swarm {
 namespace {
@@ -58,6 +61,131 @@ TEST(PieceSet, BoundsChecking) {
     EXPECT_THROW((void)set.has(2), std::invalid_argument);
     EXPECT_THROW(set.add(5), std::invalid_argument);
     EXPECT_THROW((PieceSet{0}), std::invalid_argument);
+}
+
+// ---- word-at-a-time scans ------------------------------------------------
+
+// Sizes around the word boundaries: one partial word, one word short of
+// full, exactly full, one bit into a second word, and three words.
+constexpr std::size_t kScanSizes[] = {1, 63, 64, 65, 130};
+
+/// A reproducible pseudo-random set: piece p is in it iff a hash of
+/// (p, salt) has its low bit set, so every word mixes held and missing.
+PieceSet patterned(std::size_t size, std::uint64_t salt) {
+    PieceSet set{size};
+    for (std::size_t p = 0; p < size; ++p) {
+        std::uint64_t h = (p + 1) * 0x9E3779B97F4A7C15ULL ^ salt;
+        h ^= h >> 29;
+        if (((h * 0xBF58476D1CE4E5B9ULL) >> 61 & 1U) != 0) {
+            set.add(p);
+        }
+    }
+    return set;
+}
+
+using Scan = std::function<void(const std::function<void(std::size_t)>&)>;
+
+/// Runs `scan`, checks its visits come in strictly ascending order inside
+/// [0, size), and compares them with the pieces `expected` accepts.
+void expect_scan(std::size_t size, const Scan& scan,
+                 const std::function<bool(std::size_t)>& expected) {
+    std::vector<std::size_t> visited;
+    scan([&visited](std::size_t p) { visited.push_back(p); });
+    for (std::size_t i = 0; i < visited.size(); ++i) {
+        ASSERT_LT(visited[i], size) << "visited a tail bit";
+        if (i > 0) {
+            ASSERT_LT(visited[i - 1], visited[i]) << "visits out of order";
+        }
+    }
+    std::vector<std::size_t> want;
+    for (std::size_t p = 0; p < size; ++p) {
+        if (expected(p)) {
+            want.push_back(p);
+        }
+    }
+    EXPECT_EQ(visited, want);
+}
+
+TEST(PieceSetScan, HeldAndMissingMatchPerPieceFilter) {
+    for (const std::size_t size : kScanSizes) {
+        SCOPED_TRACE(size);
+        const PieceSet set = patterned(size, 1);
+        expect_scan(size, [&](const auto& fn) { set.for_each_held(fn); },
+                    [&](std::size_t p) { return set.has(p); });
+        expect_scan(size, [&](const auto& fn) { set.for_each_missing(fn); },
+                    [&](std::size_t p) { return !set.has(p); });
+        // The extremes: an empty set misses exactly its own pieces, and a
+        // complete one misses none (its tail bits stay invisible).
+        const PieceSet empty{size};
+        const PieceSet full = PieceSet::complete(size);
+        expect_scan(size, [&](const auto& fn) { empty.for_each_missing(fn); },
+                    [](std::size_t) { return true; });
+        expect_scan(size, [&](const auto& fn) { full.for_each_missing(fn); },
+                    [](std::size_t) { return false; });
+        expect_scan(size, [&](const auto& fn) { full.for_each_held(fn); },
+                    [](std::size_t) { return true; });
+    }
+}
+
+TEST(PieceSetScan, MissingExcludingMatchesPerPieceFilter) {
+    for (const std::size_t size : kScanSizes) {
+        SCOPED_TRACE(size);
+        const PieceSet set = patterned(size, 2);
+        const PieceSet excluded = patterned(size, 3);
+        expect_scan(size,
+                    [&](const auto& fn) { set.for_each_missing_excluding(excluded, fn); },
+                    [&](std::size_t p) { return !set.has(p) && !excluded.has(p); });
+        const PieceSet none{size};
+        expect_scan(
+            size, [&](const auto& fn) { none.for_each_missing_excluding(none, fn); },
+            [](std::size_t) { return true; });
+    }
+}
+
+TEST(PieceSetScan, MissingMaskedMatchesPerPieceFilter) {
+    for (const std::size_t size : kScanSizes) {
+        SCOPED_TRACE(size);
+        const PieceSet set = patterned(size, 4);
+        const PieceSet excluded = patterned(size, 5);
+        const PieceSet mask = patterned(size, 6);
+        const PieceSet mask_too = patterned(size, 7);
+        expect_scan(
+            size,
+            [&](const auto& fn) {
+                set.for_each_missing_masked(excluded, mask, mask_too, fn);
+            },
+            [&](std::size_t p) {
+                return !set.has(p) && !excluded.has(p) &&
+                       (mask.has(p) || mask_too.has(p));
+            });
+        // A complete mask reduces to for_each_missing_excluding; an empty
+        // one (given twice) visits nothing.
+        const PieceSet none{size};
+        const PieceSet all = PieceSet::complete(size);
+        expect_scan(
+            size,
+            [&](const auto& fn) { set.for_each_missing_masked(excluded, none, all, fn); },
+            [&](std::size_t p) { return !set.has(p) && !excluded.has(p); });
+        expect_scan(
+            size,
+            [&](const auto& fn) {
+                set.for_each_missing_masked(excluded, none, none, fn);
+            },
+            [](std::size_t) { return false; });
+    }
+}
+
+TEST(PieceSetScan, SizeMismatchThrows) {
+    const PieceSet set{65};
+    const PieceSet other{64};
+    const auto ignore = [](std::size_t) {};
+    EXPECT_THROW(set.for_each_missing_excluding(other, ignore), std::invalid_argument);
+    EXPECT_THROW(set.for_each_missing_masked(other, set, set, ignore),
+                 std::invalid_argument);
+    EXPECT_THROW(set.for_each_missing_masked(set, other, set, ignore),
+                 std::invalid_argument);
+    EXPECT_THROW(set.for_each_missing_masked(set, set, other, ignore),
+                 std::invalid_argument);
 }
 
 }  // namespace

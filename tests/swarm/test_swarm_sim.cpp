@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
+#include <stdexcept>
 
 #include "util/telemetry.hpp"
 
@@ -220,6 +222,24 @@ TEST(SwarmSim, RejectsInvalidConfig) {
     config.pieces_per_file = 0;
     EXPECT_THROW((void)run_swarm_sim(config), std::invalid_argument);
     EXPECT_THROW((void)run_swarm_replications(base_config(), 0), std::invalid_argument);
+}
+
+TEST(SwarmSim, RejectsDrainDeadlineBelowHorizon) {
+    // A factor below 1 would put the hard deadline before the horizon, and
+    // the drain's end-time clamp needs deadline >= horizon.
+    auto config = base_config();
+    config.bundle_size = 2;
+    config.drain_after_horizon = true;
+    for (const double factor : {0.5, 0.0, -1.0, std::nan("")}) {
+        config.drain_deadline_factor = factor;
+        EXPECT_THROW((void)run_swarm_sim(config), std::invalid_argument) << factor;
+    }
+    config.drain_deadline_factor = 1.0;
+    EXPECT_NO_THROW((void)run_swarm_sim(config));
+    // Without draining the factor is unused.
+    config.drain_after_horizon = false;
+    config.drain_deadline_factor = 0.5;
+    EXPECT_NO_THROW((void)run_swarm_sim(config));
 }
 
 TEST(SwarmSim, TraceDrivenArrivalsFollowTrace) {
