@@ -1,8 +1,7 @@
 // Catalog-engine scaling benchmark: whole-catalog simulation throughput
-// (files/s) at 1k and 10k files, sweeping the thread count.
-// Items/s is catalog files simulated per second; the `threads` counter lets
-// scripts/bench.sh compute speedup curves for BENCH_perf.json. These are
-// engineering numbers for the perf trajectory, not paper results.
+// (files/s) at 1k and 10k files, sweeping the thread count. Items/s is
+// catalog files simulated per second. perfbench's catalog-sweep workload
+// runs this catalog at 10^5 files. Engineering numbers, not paper results.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>

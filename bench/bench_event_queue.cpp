@@ -40,8 +40,8 @@ void set_mix_label(benchmark::State& state) {
     state.SetLabel(state.range(1) == kDenseTransfer ? "dense-transfer" : "sparse-churn");
 }
 
-// Publishes the calendar/ladder regime counters so BENCH_perf.json records
-// which structural paths each workload exercised (rewindows vs small-ladder
+// Publishes the calendar/ladder regime counters so each row records which
+// structural paths its workload exercised (rewindows vs small-ladder
 // rewindows, ladder spills, staged merges and their insertion-splice share,
 // worst bucket occupancy). A perf delta with a counter shift points at a
 // regime transition; one without is a plain code-speed change.

@@ -8,9 +8,7 @@
 #include "model/bundling.hpp"
 #include "queueing/busy_period.hpp"
 #include "sim/availability_sim.hpp"
-#include "sim/trace.hpp"
 #include "swarm/swarm_sim.hpp"
-#include "util/metrics.hpp"
 
 namespace {
 
@@ -82,84 +80,5 @@ void BM_SwarmSim(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_SwarmSim)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
-// Observability overhead rows: the same workloads with a metrics registry
-// and an enabled tracer draining into a null sink. merge_bench_json.py
-// pairs each *TraceOn row with its plain counterpart and emits
-// tracing_overhead_pct; the plain rows above (tracing compiled in but
-// runtime-disabled) are the ones held to the <3% regression budget.
-void BM_AvailabilitySimTraceOn(benchmark::State& state) {
-    sim::AvailabilitySimConfig config;
-    config.params = base_params();
-    config.horizon = static_cast<double>(state.range(0));
-    config.seed = 3;
-    for (auto _ : state) {
-        MetricsRegistry metrics;
-        sim::NullTraceSink sink;
-        sim::Tracer tracer{sink};
-        tracer.set_enabled(true);
-        config.metrics = &metrics;
-        config.tracer = &tracer;
-        benchmark::DoNotOptimize(sim::run_availability_sim(config));
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_AvailabilitySimTraceOn)->Arg(100000)->Unit(benchmark::kMillisecond);
-
-void BM_SwarmSimTraceOn(benchmark::State& state) {
-    swarm::SwarmSimConfig config;
-    config.bundle_size = static_cast<std::size_t>(state.range(0));
-    config.peer_arrival_rate = 1.0 / 60.0;
-    config.peer_capacity = std::make_shared<swarm::HomogeneousCapacity>(50.0 * swarm::kKBps);
-    config.publisher_capacity = 100.0 * swarm::kKBps;
-    config.publisher = swarm::PublisherBehavior::kOnOff;
-    config.horizon = 2400.0;
-    config.seed = 4;
-    for (auto _ : state) {
-        MetricsRegistry metrics;
-        sim::NullTraceSink sink;
-        sim::Tracer tracer{sink};
-        tracer.set_enabled(true);
-        config.metrics = &metrics;
-        config.tracer = &tracer;
-        benchmark::DoNotOptimize(swarm::run_swarm_sim(config));
-    }
-}
-BENCHMARK(BM_SwarmSimTraceOn)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
-// Fingerprint overhead rows: the plain rows above run with determinism
-// fingerprints ON (the config default), so these disable them and
-// merge_bench_json.py pairs BM_*FingerprintOff with its plain counterpart
-// to emit fingerprint_overhead_pct — note the inverted direction versus
-// the TraceOn/TelemetryOn pairs (here the suffixed row is the baseline).
-// Budget: <= 2% on BM_SwarmSim/4.
-void BM_AvailabilitySimFingerprintOff(benchmark::State& state) {
-    sim::AvailabilitySimConfig config;
-    config.params = base_params();
-    config.horizon = static_cast<double>(state.range(0));
-    config.seed = 3;
-    config.fingerprint = false;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(sim::run_availability_sim(config));
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_AvailabilitySimFingerprintOff)->Arg(100000)->Unit(benchmark::kMillisecond);
-
-void BM_SwarmSimFingerprintOff(benchmark::State& state) {
-    swarm::SwarmSimConfig config;
-    config.bundle_size = static_cast<std::size_t>(state.range(0));
-    config.peer_arrival_rate = 1.0 / 60.0;
-    config.peer_capacity = std::make_shared<swarm::HomogeneousCapacity>(50.0 * swarm::kKBps);
-    config.publisher_capacity = 100.0 * swarm::kKBps;
-    config.publisher = swarm::PublisherBehavior::kOnOff;
-    config.horizon = 2400.0;
-    config.seed = 4;
-    config.fingerprint = false;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(swarm::run_swarm_sim(config));
-    }
-}
-BENCHMARK(BM_SwarmSimFingerprintOff)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace

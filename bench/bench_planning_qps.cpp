@@ -18,12 +18,9 @@
 #include <memory>
 #include <string>
 
-#include <chrono>
-
 #include "serve/protocol.hpp"
 #include "serve/router.hpp"
 #include "serve/server.hpp"
-#include "serve/span.hpp"
 
 namespace {
 
@@ -54,46 +51,6 @@ void BM_PlanningRouterEvalWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanningRouterEvalWarm)->Threads(1)->Threads(2)->Threads(4)
     ->UseRealTime();
-
-/// Warm cached EVAL with a RequestSpans scratch attached: every stage
-/// boundary takes two steady_clock reads. merge_bench_json.py turns the
-/// delta against the plain warm row into srv_span_overhead_pct
-/// (informational — tracing enabled is allowed to cost something).
-void BM_PlanningRouterEvalWarmSpanOn(benchmark::State& state) {
-    serve::RequestRouter router;
-    const auto epoch = std::chrono::steady_clock::now();
-    serve::RequestSpans spans;
-    spans.set_epoch(epoch);
-    benchmark::DoNotOptimize(router.route(kEval, &spans).payload);
-    for (auto _ : state) {
-        spans = serve::RequestSpans{};
-        spans.set_epoch(epoch);
-        benchmark::DoNotOptimize(router.route(kEval, &spans).payload);
-    }
-    state.SetItemsProcessed(state.iterations());
-    state.counters["srv_queries_per_s"] = benchmark::Counter(
-        static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
-}
-// Threads(1)/UseRealTime matches the plain warm row's name shape, so the
-// merge script can pair "...WarmSpanOn/threads:1/real_time" with
-// "...Warm/threads:1/real_time" by dropping the marker.
-BENCHMARK(BM_PlanningRouterEvalWarmSpanOn)->Threads(1)->UseRealTime();
-
-/// Warm cached EVAL through the spans-capable route() overload with a null
-/// scratch — the runtime-disabled path every request takes when tracing is
-/// off. The delta against the plain warm row (srv_span_idle_overhead_pct)
-/// is the acceptance-gated <= 1% "tracing disabled costs nothing" number.
-void BM_PlanningRouterEvalWarmSpanIdle(benchmark::State& state) {
-    serve::RequestRouter router;
-    benchmark::DoNotOptimize(router.route(kEval, nullptr).payload);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(router.route(kEval, nullptr).payload);
-    }
-    state.SetItemsProcessed(state.iterations());
-    state.counters["srv_queries_per_s"] = benchmark::Counter(
-        static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_PlanningRouterEvalWarmSpanIdle)->Threads(1)->UseRealTime();
 
 /// Cold EVAL: every iteration carries a fresh u, so each request pays the
 /// full parse + closed-form model evaluation and inserts a new cache

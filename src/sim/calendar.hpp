@@ -52,9 +52,9 @@ struct CalendarEntry {
 /// Lifetime introspection counters of one CalendarLadder. Pure structural
 /// bookkeeping (plain integer increments on the cold regime-transition
 /// paths, a size max at bucket activation); the counters never influence
-/// routing or pop order. bench_event_queue publishes them so the regime
-/// transitions (adaptive vs small-ladder windows, insertion vs re-sort
-/// merges) are visible in BENCH_perf.json.
+/// routing or pop order. bench_event_queue publishes them as benchmark
+/// counters so the regime transitions (adaptive vs small-ladder windows,
+/// insertion vs re-sort merges) are visible next to its timings.
 struct CalendarDebugStats {
     std::uint64_t rewindows = 0;        ///< window rebuilds from the ladder
     std::uint64_t small_rewindows = 0;  ///< of which took the small-ladder path

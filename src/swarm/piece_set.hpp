@@ -84,32 +84,11 @@ class PieceSet {
         for_each_bit([w](std::size_t wi) { return w[wi]; }, fn);
     }
 
-    /// Invokes fn(piece) for every missing piece in ascending index order
-    /// (fully held words cost one compare). fn must not mutate this set.
-    template <typename Fn>
-    void for_each_missing(Fn&& fn) const {
-        const std::uint64_t* w = words();
-        for_each_bit([w](std::size_t wi) { return ~w[wi]; }, fn);
-    }
-
-    /// Like for_each_missing, but also skips pieces present in `excluded`
-    /// (same size required): one OR per word replaces a per-piece probe of
-    /// the excluded set. Visits exactly the pieces for_each_missing would
-    /// visit minus those in `excluded`, in the same ascending order.
-    template <typename Fn>
-    void for_each_missing_excluding(const PieceSet& excluded, Fn&& fn) const {
-        require(excluded.num_pieces_ == num_pieces_,
-                "PieceSet::for_each_missing_excluding: size mismatch");
-        const std::uint64_t* w = words();
-        const std::uint64_t* x = excluded.words();
-        for_each_bit([w, x](std::size_t wi) { return ~(w[wi] | x[wi]); }, fn);
-    }
-
-    /// Like for_each_missing_excluding, restricted to pieces present in
-    /// `mask` or `mask_too` (all sets the same size): the swarm simulator's
-    /// walk over a peer's obtainable pieces, where a word with none costs
-    /// one AND. Visits exactly the pieces for_each_missing_excluding would
-    /// visit that lie in mask | mask_too, in the same ascending order.
+    /// Invokes fn(piece) in ascending index order for every piece missing
+    /// here, absent from `excluded`, and present in `mask` or `mask_too`
+    /// (all sets the same size): the swarm simulator's walk over a peer's
+    /// obtainable pieces, where a word with none costs one AND. fn must not
+    /// mutate these sets.
     template <typename Fn>
     void for_each_missing_masked(const PieceSet& excluded, const PieceSet& mask,
                                  const PieceSet& mask_too, Fn&& fn) const {

@@ -66,7 +66,7 @@ class Profiler {
     static void reset();
 
     /// Writes {"phases":[{"name":...,"calls":N,"seconds":S},...]} — the
-    /// per-phase wall-time breakdown scripts/bench.sh embeds in BENCH_perf.json.
+    /// per-phase wall-time breakdown trace_inspect prints after its demo run.
     static void write_json(std::ostream& os);
 
     static constexpr std::size_t kMaxPhases = 64;

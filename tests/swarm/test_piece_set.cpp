@@ -110,35 +110,24 @@ TEST(PieceSetScan, HeldAndMissingMatchPerPieceFilter) {
     for (const std::size_t size : kScanSizes) {
         SCOPED_TRACE(size);
         const PieceSet set = patterned(size, 1);
+        const PieceSet none{size};
+        const PieceSet all = PieceSet::complete(size);
+        // The masked scan with nothing excluded and a complete mask visits
+        // every missing piece.
+        const auto missing = [&](const PieceSet& pieces) {
+            return [&none, &all, &pieces = pieces](const auto& fn) {
+                pieces.for_each_missing_masked(none, all, all, fn);
+            };
+        };
         expect_scan(size, [&](const auto& fn) { set.for_each_held(fn); },
                     [&](std::size_t p) { return set.has(p); });
-        expect_scan(size, [&](const auto& fn) { set.for_each_missing(fn); },
-                    [&](std::size_t p) { return !set.has(p); });
+        expect_scan(size, missing(set), [&](std::size_t p) { return !set.has(p); });
         // The extremes: an empty set misses exactly its own pieces, and a
         // complete one misses none (its tail bits stay invisible).
-        const PieceSet empty{size};
-        const PieceSet full = PieceSet::complete(size);
-        expect_scan(size, [&](const auto& fn) { empty.for_each_missing(fn); },
+        expect_scan(size, missing(none), [](std::size_t) { return true; });
+        expect_scan(size, missing(all), [](std::size_t) { return false; });
+        expect_scan(size, [&](const auto& fn) { all.for_each_held(fn); },
                     [](std::size_t) { return true; });
-        expect_scan(size, [&](const auto& fn) { full.for_each_missing(fn); },
-                    [](std::size_t) { return false; });
-        expect_scan(size, [&](const auto& fn) { full.for_each_held(fn); },
-                    [](std::size_t) { return true; });
-    }
-}
-
-TEST(PieceSetScan, MissingExcludingMatchesPerPieceFilter) {
-    for (const std::size_t size : kScanSizes) {
-        SCOPED_TRACE(size);
-        const PieceSet set = patterned(size, 2);
-        const PieceSet excluded = patterned(size, 3);
-        expect_scan(size,
-                    [&](const auto& fn) { set.for_each_missing_excluding(excluded, fn); },
-                    [&](std::size_t p) { return !set.has(p) && !excluded.has(p); });
-        const PieceSet none{size};
-        expect_scan(
-            size, [&](const auto& fn) { none.for_each_missing_excluding(none, fn); },
-            [](std::size_t) { return true; });
     }
 }
 
@@ -158,13 +147,17 @@ TEST(PieceSetScan, MissingMaskedMatchesPerPieceFilter) {
                 return !set.has(p) && !excluded.has(p) &&
                        (mask.has(p) || mask_too.has(p));
             });
-        // A complete mask reduces to for_each_missing_excluding; an empty
-        // one (given twice) visits nothing.
+        // A complete mask (either one) leaves the pieces missing from both
+        // sets; an empty one given twice visits nothing.
         const PieceSet none{size};
         const PieceSet all = PieceSet::complete(size);
         expect_scan(
             size,
             [&](const auto& fn) { set.for_each_missing_masked(excluded, none, all, fn); },
+            [&](std::size_t p) { return !set.has(p) && !excluded.has(p); });
+        expect_scan(
+            size,
+            [&](const auto& fn) { set.for_each_missing_masked(excluded, all, none, fn); },
             [&](std::size_t p) { return !set.has(p) && !excluded.has(p); });
         expect_scan(
             size,
@@ -179,7 +172,6 @@ TEST(PieceSetScan, SizeMismatchThrows) {
     const PieceSet set{65};
     const PieceSet other{64};
     const auto ignore = [](std::size_t) {};
-    EXPECT_THROW(set.for_each_missing_excluding(other, ignore), std::invalid_argument);
     EXPECT_THROW(set.for_each_missing_masked(other, set, set, ignore),
                  std::invalid_argument);
     EXPECT_THROW(set.for_each_missing_masked(set, other, set, ignore),
