@@ -1,5 +1,5 @@
 // Event-queue microbenchmarks (google-benchmark): steady-state push/pop
-// throughput and cancellation cost of the calendar/ladder EventQueue at
+// throughput and cancellation cost of the binary-heap EventQueue at
 // different fill levels and horizon mixes. These isolate the scheduler from
 // the simulators so a queue regression is visible before it washes out in
 // whole-sim numbers.
@@ -7,18 +7,16 @@
 // Horizon mixes model the two scheduling populations the simulators
 // produce:
 //   dense-transfer: every delta is a short transfer completion, uniform in
-//     [0, 1) model time units -- events land in the calendar's near-future
-//     buckets.
+//     [0, 1) model time units.
 //   sparse-churn: 1 in 8 deltas is a far-future churn event (peer/publisher
-//     arrival or departure) up to 4096x further out -- events land in the
-//     overflow ladder and are rewindowed on drain.
+//     arrival or departure) up to 4096x further out, so far-future entries
+//     sink deep in the heap while near-term ones cycle through the top.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "sim/calendar.hpp"
 #include "sim/event_queue.hpp"
 #include "util/random.hpp"
 
@@ -40,41 +38,6 @@ void set_mix_label(benchmark::State& state) {
     state.SetLabel(state.range(1) == kDenseTransfer ? "dense-transfer" : "sparse-churn");
 }
 
-// Publishes the calendar/ladder regime counters so each row records which
-// structural paths its workload exercised (rewindows vs small-ladder
-// rewindows, ladder spills, staged merges and their insertion-splice share,
-// worst bucket occupancy). A perf delta with a counter shift points at a
-// regime transition; one without is a plain code-speed change.
-void publish_calendar_stats(benchmark::State& state,
-                            const sim::CalendarDebugStats& cal) {
-    state.counters["cal_rewindows"] = static_cast<double>(cal.rewindows);
-    state.counters["cal_small_rewindows"] = static_cast<double>(cal.small_rewindows);
-    state.counters["cal_ladder_spills"] = static_cast<double>(cal.ladder_spills);
-    state.counters["cal_staged_merges"] = static_cast<double>(cal.staged_merges);
-    state.counters["cal_insertion_merges"] =
-        static_cast<double>(cal.insertion_merges);
-    state.counters["cal_max_bucket"] =
-        static_cast<double>(cal.max_bucket_occupancy);
-}
-
-// The horizon mixes exist to force distinct calendar regimes; if a future
-// routing change makes them exercise the same paths, the benchmark's two
-// variants silently measure one thing. Fail loudly instead.
-void check_mix_regime(benchmark::State& state,
-                      const sim::CalendarDebugStats& cal) {
-    if (state.range(1) == kSparseChurn && cal.ladder_spills == 0) {
-        state.SkipWithError(
-            "sparse-churn mix routed nothing to the ladder; horizon mix no "
-            "longer exercises the overflow regime");
-        return;
-    }
-    if (cal.rewindows == 0 && cal.ladder_spills > 0) {
-        state.SkipWithError(
-            "ladder received entries but never rewindowed; drain path not "
-            "exercised");
-    }
-}
-
 // Steady-state hold-at-fill workload: pre-fill to `fill` events, then each
 // op pops the head and schedules a replacement. This is the simulators'
 // dominant pattern (population roughly constant, one completion schedules
@@ -94,8 +57,6 @@ void BM_EventQueuePushPop(benchmark::State& state) {
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
     set_mix_label(state);
-    publish_calendar_stats(state, queue.calendar_stats());
-    check_mix_regime(state, queue.calendar_stats());
 }
 BENCHMARK(BM_EventQueuePushPop)
     ->ArgNames({"fill", "mix"})
@@ -137,21 +98,18 @@ void BM_EventQueueCancel(benchmark::State& state) {
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
     set_mix_label(state);
-    publish_calendar_stats(state, queue.calendar_stats());
-    check_mix_regime(state, queue.calendar_stats());
 }
 BENCHMARK(BM_EventQueueCancel)
     ->ArgNames({"fill", "mix"})
     ->Args({1024, kDenseTransfer})
     ->Args({1024, kSparseChurn});
 
-// Drain workload: fill the queue cold, then pop everything. Measures the
-// rewindow/sort amortization on a full calendar instead of steady state;
-// time is per drained event.
+// Drain workload: fill the queue cold, then pop everything. Measures
+// pops from a full heap instead of steady state; time is per drained
+// event.
 void BM_EventQueueFillDrain(benchmark::State& state) {
     const auto fill = static_cast<std::size_t>(state.range(0));
     const auto mix = state.range(1);
-    sim::CalendarDebugStats last_drain{};
     for (auto _ : state) {
         state.PauseTiming();
         sim::EventQueue queue;
@@ -163,13 +121,10 @@ void BM_EventQueueFillDrain(benchmark::State& state) {
         while (queue.run_next()) {
         }
         benchmark::DoNotOptimize(queue);
-        last_drain = queue.calendar_stats();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(fill));
     set_mix_label(state);
-    publish_calendar_stats(state, last_drain);
-    check_mix_regime(state, last_drain);
 }
 BENCHMARK(BM_EventQueueFillDrain)
     ->ArgNames({"fill", "mix"})

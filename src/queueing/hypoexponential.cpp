@@ -1,9 +1,8 @@
 #include "queueing/hypoexponential.hpp"
 
-#include <cmath>
+#include <utility>
 
 #include "util/error.hpp"
-#include "util/series.hpp"
 
 namespace swarmavail::queueing {
 
@@ -59,17 +58,6 @@ double Hypoexponential::sample(Rng& rng) const {
         acc += rng.exponential_rate(r);
     }
     return acc;
-}
-
-double mginf_occupancy_pmf(std::size_t k, double rho) {
-    require(rho >= 0.0, "mginf_occupancy_pmf: requires rho >= 0");
-    return poisson_pmf(k, rho);
-}
-
-double mginf_mean_occupancy(double lambda, double mean_service) {
-    require(lambda >= 0.0, "mginf_mean_occupancy: requires lambda >= 0");
-    require(mean_service >= 0.0, "mginf_mean_occupancy: requires mean_service >= 0");
-    return lambda * mean_service;
 }
 
 }  // namespace swarmavail::queueing

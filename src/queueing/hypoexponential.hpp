@@ -42,11 +42,4 @@ class Hypoexponential {
     std::vector<double> rates_;
 };
 
-/// Steady-state occupancy probability P(N = k) of an M/M/infinity (or
-/// M/G/infinity) queue with offered load rho = lambda * E[S]: Poisson(rho).
-[[nodiscard]] double mginf_occupancy_pmf(std::size_t k, double rho);
-
-/// Mean steady-state occupancy of M/G/infinity: rho itself (Little's law).
-[[nodiscard]] double mginf_mean_occupancy(double lambda, double mean_service);
-
 }  // namespace swarmavail::queueing

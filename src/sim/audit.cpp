@@ -27,32 +27,4 @@ void check_peer_conservation(std::uint64_t arrivals, std::uint64_t served,
             std::to_string(in_system) + " in system");
 }
 
-void check_calendar_bucket(SimTime when, SimTime window_start, SimTime width,
-                           std::uint64_t num_buckets, std::uint64_t bucket) {
-    // Mirror of CalendarLadder's routing expression, operation for
-    // operation, so boundary rounding is identical.
-    const double offset = (when - window_start) * (1.0 / width);
-    SWARMAVAIL_INVARIANT(
-        offset >= 0.0 && offset < static_cast<double>(num_buckets),
-        "calendar entry outside the bucket window: t=" + std::to_string(when) +
-            " routes offset " + std::to_string(offset) + " across " +
-            std::to_string(num_buckets) + " buckets");
-    SWARMAVAIL_INVARIANT(
-        static_cast<std::uint64_t>(offset) == bucket,
-        "calendar entry in the wrong bucket: t=" + std::to_string(when) +
-            " routes to bucket " +
-            std::to_string(static_cast<std::uint64_t>(offset)) +
-            " but is stored in bucket " + std::to_string(bucket));
-}
-
-void check_ladder_horizon(SimTime when, SimTime window_start, SimTime width,
-                          std::uint64_t num_buckets) {
-    const double offset = (when - window_start) * (1.0 / width);
-    SWARMAVAIL_INVARIANT(
-        offset >= static_cast<double>(num_buckets),
-        "ladder entry inside the bucket window: t=" + std::to_string(when) +
-            " routes offset " + std::to_string(offset) + " but the window spans " +
-            std::to_string(num_buckets) + " buckets");
-}
-
 }  // namespace swarmavail::sim::audit

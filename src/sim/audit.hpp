@@ -12,7 +12,7 @@
 
 #include <cstdint>
 
-#include "sim/calendar.hpp"
+#include "sim/event_queue.hpp"
 
 namespace swarmavail::sim::audit {
 
@@ -31,20 +31,5 @@ void check_nonnegative_count(const char* what, std::int64_t count);
 /// Throws CheckFailure unless `arrivals == served + lost + in_system`.
 void check_peer_conservation(std::uint64_t arrivals, std::uint64_t served,
                              std::uint64_t lost, std::uint64_t in_system);
-
-/// Calendar-queue bucket routing: an entry stored in `bucket` must route
-/// there under the window's arithmetic, i.e. `bucket` must equal
-/// floor((when - window_start) / width) and lie inside the window. Uses
-/// the same floating-point expression as the queue's routing so boundary
-/// rounding can never make the audit disagree with the structure.
-/// Throws CheckFailure on a routing violation.
-void check_calendar_bucket(SimTime when, SimTime window_start, SimTime width,
-                           std::uint64_t num_buckets, std::uint64_t bucket);
-
-/// Calendar-queue ladder horizon: an entry parked in the overflow ladder
-/// must route past the window end (floor((when - window_start) / width)
-/// >= num_buckets). Throws CheckFailure if the entry belongs in a bucket.
-void check_ladder_horizon(SimTime when, SimTime window_start, SimTime width,
-                          std::uint64_t num_buckets);
 
 }  // namespace swarmavail::sim::audit

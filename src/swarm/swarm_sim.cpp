@@ -226,9 +226,6 @@ class SwarmSim {
 
         close_availability_interval(end_time);
         SWARMAVAIL_OBSERVE(config_.tracer, flush());
-        if (config_.metrics != nullptr) {
-            record_calendar_metrics(*config_.metrics, queue_.calendar_stats());
-        }
         SwarmSimResult out = std::move(result_);
 #if !defined(SWARMAVAIL_OBSERVE_DISABLED)
         if (config_.telemetry != nullptr) {
@@ -285,21 +282,6 @@ class SwarmSim {
         m_leechers_gauge_ = &m.gauge("swarm.leechers");
         m_coverage_gauge_ = &m.gauge("swarm.coverage_fraction");
         m_queue_depth_ = &m.gauge("swarm.queue_depth");
-    }
-
-    /// Publishes the calendar/ladder regime counters once at end of run.
-    /// Counters merge by sum across replications; the occupancy gauge keeps
-    /// min/mean/max, so a pathological bucket blow-up in any replication is
-    /// visible in the merged registry.
-    static void record_calendar_metrics(MetricsRegistry& m,
-                                        const sim::CalendarDebugStats& cal) {
-        m.counter("calendar.rewindows").add(cal.rewindows);
-        m.counter("calendar.small_rewindows").add(cal.small_rewindows);
-        m.counter("calendar.ladder_spills").add(cal.ladder_spills);
-        m.counter("calendar.staged_merges").add(cal.staged_merges);
-        m.counter("calendar.insertion_merges").add(cal.insertion_merges);
-        m.gauge("calendar.max_bucket_occupancy")
-            .set(static_cast<double>(cal.max_bucket_occupancy));
     }
 
     /// Samples the population/coverage/queue-depth gauges; called at peer

@@ -8,33 +8,6 @@
 
 namespace swarmavail {
 
-SeriesResult sum_series(const std::function<double(std::size_t)>& term,
-                        const SeriesOptions& options) {
-    require(options.max_terms >= 1, "sum_series: max_terms must be >= 1");
-    SeriesResult result;
-    std::size_t consecutive_small = 0;
-    for (std::size_t i = 1; i <= options.max_terms; ++i) {
-        const double t = term(i);
-        result.value += t;
-        result.terms = i;
-        if (!std::isfinite(result.value)) {
-            // The series saturated (e.g. busy period ~ e^{K^2}); report as-is.
-            result.converged = true;
-            return result;
-        }
-        const double scale = std::max(std::abs(result.value), 1e-300);
-        if (i >= options.min_terms && std::abs(t) <= options.rel_tol * scale) {
-            if (++consecutive_small >= 2) {
-                result.converged = true;
-                return result;
-            }
-        } else {
-            consecutive_small = 0;
-        }
-    }
-    return result;
-}
-
 double log_factorial(std::size_t n) {
     return std::lgamma(static_cast<double>(n) + 1.0);
 }

@@ -1,5 +1,5 @@
-// Numerical helpers for the queueing formulas: robust infinite-series
-// summation, log-space combinatorics, and Poisson probabilities.
+// Numerical helpers for the queueing formulas: log-space combinatorics,
+// Poisson probabilities, and overflow-safe exponentials.
 //
 // The busy-period expressions in the paper (eqs. 9, 12, 13, 16) are infinite
 // series whose terms involve beta^i / i! -- these explode in linear space for
@@ -8,34 +8,8 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 
 namespace swarmavail {
-
-/// Result of an adaptive series summation.
-struct SeriesResult {
-    double value = 0.0;        ///< the summed value
-    std::size_t terms = 0;     ///< number of terms evaluated
-    bool converged = false;    ///< true if the tolerance was met
-};
-
-/// Options controlling series summation.
-struct SeriesOptions {
-    /// Stop when |term| <= rel_tol * |partial_sum| (after min_terms).
-    double rel_tol = 1e-13;
-    /// Always evaluate at least this many terms (series with humps --
-    /// e.g. beta^i/i! -- grow before they shrink).
-    std::size_t min_terms = 8;
-    /// Hard cap on evaluated terms.
-    std::size_t max_terms = 100000;
-};
-
-/// Sums term(i) for i = 1, 2, ... until convergence. The term callback must
-/// eventually decay (all series in this library are dominated by x^i / i!).
-/// Convergence requires two consecutive below-tolerance terms, which guards
-/// against stopping inside the pre-hump dip of non-monotone series.
-[[nodiscard]] SeriesResult sum_series(const std::function<double(std::size_t)>& term,
-                                      const SeriesOptions& options = {});
 
 /// log(n!) via lgamma.
 [[nodiscard]] double log_factorial(std::size_t n);

@@ -101,20 +101,5 @@ TEST(MaxOfIidExponentials, LaplaceMatchesLemma33Form) {
     EXPECT_NEAR(dist.laplace(s), expected, 1e-12);
 }
 
-TEST(MginfOccupancy, PoissonSteadyState) {
-    const double rho = 2.5;
-    double total = 0.0;
-    for (std::size_t k = 0; k < 40; ++k) {
-        total += mginf_occupancy_pmf(k, rho);
-    }
-    EXPECT_NEAR(total, 1.0, 1e-12);
-    EXPECT_NEAR(mginf_occupancy_pmf(0, rho), std::exp(-rho), 1e-12);
-}
-
-TEST(MginfOccupancy, MeanViaLittlesLaw) {
-    EXPECT_DOUBLE_EQ(mginf_mean_occupancy(0.5, 10.0), 5.0);
-    EXPECT_DOUBLE_EQ(mginf_mean_occupancy(0.0, 10.0), 0.0);
-}
-
 }  // namespace
 }  // namespace swarmavail::queueing

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace swarmavail::sim {
@@ -84,6 +87,25 @@ TEST(EventQueue, SchedulingInThePastThrows) {
     queue.schedule_at(5.0, [] {});
     queue.run_until(5.0);
     EXPECT_THROW((void)queue.schedule_at(4.0, [] {}), std::invalid_argument);
+}
+
+TEST(EventQueue, NonFiniteTimesReportFiniteness) {
+    // NaN fails every comparison, so it must be caught as non-finite
+    // before the past-time check can misreport it.
+    EventQueue queue;
+    for (const SimTime when : {std::numeric_limits<SimTime>::quiet_NaN(),
+                               std::numeric_limits<SimTime>::infinity(),
+                               -std::numeric_limits<SimTime>::infinity()}) {
+        try {
+            (void)queue.schedule_at(when, [] {});
+            ADD_FAILURE() << "schedule_at(" << when << ") did not throw";
+        } catch (const std::invalid_argument& error) {
+            EXPECT_NE(std::string(error.what()).find("event time must be finite"),
+                      std::string::npos)
+                << "schedule_at(" << when << "): " << error.what();
+        }
+    }
+    EXPECT_TRUE(queue.empty());
 }
 
 TEST(EventQueue, EventsCanScheduleMoreEvents) {

@@ -1,11 +1,12 @@
-// Differential test of the calendar/ladder EventQueue against a reference
+// Differential test of the EventQueue against an independent reference
 // binary heap: both are driven through identical randomized
 // push/cancel/pop sequences (with heavy same-timestamp ties and slot
-// reuse) and must produce bit-identical dispatch orders. The reference is
-// an independent re-implementation of the generation-2 contract -- total
-// order on (when, scheduling sequence) -- so any divergence in the
-// calendar's routing, staging, or rewindow logic shows up as an order or
-// clock mismatch here rather than as a silently different simulation.
+// reuse) and must produce bit-identical dispatch orders. The reference
+// re-implements only the dispatch contract -- total order on (when,
+// scheduling sequence), lazy cancellation -- with none of the queue's
+// slab, generation or eager-drain bookkeeping, so a fault there (or in the
+// queue's tie-break) shows up as an order or clock mismatch here rather
+// than as a silently different simulation.
 #include "sim/event_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -15,16 +16,13 @@
 #include <utility>
 #include <vector>
 
-#include "sim/audit.hpp"
-#include "util/check.hpp"
 #include "util/random.hpp"
 
 namespace swarmavail::sim {
 namespace {
 
 /// Reference scheduler: a plain binary min-heap over (when, seq) with lazy
-/// cancellation, mirroring the generation-2 EventQueue's dispatch contract
-/// with none of the calendar machinery.
+/// cancellation and per-tag liveness, sharing no code with EventQueue.
 class ReferenceHeapQueue {
  public:
     std::uint64_t push(SimTime when) {
@@ -82,7 +80,7 @@ struct DifferentialRunConfig {
     /// Times are drawn from a grid of this many distinct offsets, so small
     /// values force heavy same-timestamp ties.
     std::uint64_t time_grid = 16;
-    /// Far-future deltas (overflow-ladder residents) get this multiplier.
+    /// Far-future deltas (deep heap residents) get this multiplier.
     double churn_span = 512.0;
 };
 
@@ -147,7 +145,7 @@ void run_differential(const DifferentialRunConfig& config) {
     }
 
     // Drain both to the end: the tail order must match too (this is where
-    // rewindowing of far-future churn entries happens).
+    // the far-future churn entries surface).
     while (!queue.empty()) {
         const auto [expect_when, expect_tag] = reference.pop();
         ASSERT_TRUE(queue.run_next());
@@ -186,8 +184,8 @@ TEST(EventQueueDifferential, CoarseTieGridWithFarChurn) {
 
 TEST(EventQueueDifferential, AuditModeStaysConsistent) {
     // Same randomized traffic with the full structural audit running at
-    // every pop: bucket routing, ladder horizon, slab/free-list
-    // bookkeeping. Any internal inconsistency throws CheckFailure.
+    // every pop: heap order, slab/free-list bookkeeping and the cached
+    // head. Any internal inconsistency throws CheckFailure.
     DifferentialRunConfig config;
     config.seed = 1234;
     config.ops = 1500;
@@ -242,34 +240,6 @@ TEST(EventQueueDifferential, StaleIdAfterSlotReuseIsInert) {
     EXPECT_EQ(queue.size(), 1U);
     ASSERT_TRUE(queue.run_next());
     EXPECT_EQ(fired, 2);
-}
-
-TEST(EventQueueAuditPrimitives, CalendarBucketAcceptsCorrectRouting) {
-    // Window [10, 10 + 8 * 0.5): t=11.3 routes to floor(1.3 / 0.5) = 2.
-    EXPECT_NO_THROW(audit::check_calendar_bucket(11.3, 10.0, 0.5, 8, 2));
-    // Exact lower edge of bucket 0.
-    EXPECT_NO_THROW(audit::check_calendar_bucket(10.0, 10.0, 0.5, 8, 0));
-}
-
-TEST(EventQueueAuditPrimitives, CalendarBucketRejectsWrongBucket) {
-    EXPECT_THROW(audit::check_calendar_bucket(11.3, 10.0, 0.5, 8, 3), CheckFailure);
-}
-
-TEST(EventQueueAuditPrimitives, CalendarBucketRejectsOutOfWindow) {
-    // t=15 routes offset 10 >= 8 buckets: belongs in the ladder.
-    EXPECT_THROW(audit::check_calendar_bucket(15.0, 10.0, 0.5, 8, 7), CheckFailure);
-    // t before the window start routes a negative offset.
-    EXPECT_THROW(audit::check_calendar_bucket(9.0, 10.0, 0.5, 8, 0), CheckFailure);
-}
-
-TEST(EventQueueAuditPrimitives, LadderHorizonAcceptsFarFuture) {
-    EXPECT_NO_THROW(audit::check_ladder_horizon(15.0, 10.0, 0.5, 8));
-    // Exact window end is ladder territory (bucket range is half-open).
-    EXPECT_NO_THROW(audit::check_ladder_horizon(14.0, 10.0, 0.5, 8));
-}
-
-TEST(EventQueueAuditPrimitives, LadderHorizonRejectsInWindowEntry) {
-    EXPECT_THROW(audit::check_ladder_horizon(11.3, 10.0, 0.5, 8), CheckFailure);
 }
 
 }  // namespace

@@ -25,9 +25,11 @@
 #include "queueing/busy_period.hpp"
 #include "serve/router.hpp"
 #include "sim/availability_sim.hpp"
+#include "sim/event_queue.hpp"
 #include "swarm/capacity.hpp"
 #include "swarm/swarm_sim.hpp"
 #include "util/error.hpp"
+#include "util/random.hpp"
 #include "util/telemetry.hpp"
 
 namespace {
@@ -170,7 +172,36 @@ TEST(AllocFree, CatalogAllocationsPerSwarm) {
     const catalog::CatalogEngineConfig config = small_catalog_run();
     const auto run = [&] { return catalog::run_catalog(files, catalog::FixedK{4}, config); };
     ASSERT_EQ(run().swarms.size(), 6U);
-    EXPECT_EQ(allocations_during(run), 707U);  // about 118 per swarm
+    EXPECT_EQ(allocations_during(run), 260U);  // about 43 per swarm
+}
+
+TEST(AllocFree, EventQueueHoldAtFillAllocatesNothing) {
+    // The simulators' steady state: each dispatch schedules a replacement.
+    // Every cycle also schedules a second event and cancels one of the two
+    // (alternately the older), so dead entries sit at every heap depth.
+    // Once warm, the heap and the slab reuse their capacity.
+    for (const std::size_t fill : {64U, 1024U}) {
+        SCOPED_TRACE(fill);
+        sim::EventQueue queue;
+        Rng rng{fill};
+        for (std::size_t i = 0; i < fill; ++i) {
+            queue.schedule_at(rng.uniform(), [] {});
+        }
+        std::uint64_t cycle = 0;
+        const auto cycles = [&](std::size_t count) {
+            for (std::size_t i = 0; i < count; ++i, ++cycle) {
+                ASSERT_TRUE(queue.run_next());
+                const sim::EventId first =
+                    queue.schedule_at(queue.now() + rng.uniform(), [] {});
+                const sim::EventId second =
+                    queue.schedule_at(queue.now() + rng.uniform(), [] {});
+                queue.cancel(cycle % 2 == 0 ? first : second);
+            }
+        };
+        cycles(10000);
+        EXPECT_EQ(allocations_during([&] { cycles(10000); }), 0U);
+        EXPECT_EQ(queue.size(), fill);
+    }
 }
 
 // A session's first catalog run registers the tracked per-swarm

@@ -8,50 +8,6 @@
 namespace swarmavail {
 namespace {
 
-TEST(SumSeries, GeometricSeries) {
-    // sum over i>=1 of 0.5^i = 1.
-    const auto result = sum_series([](std::size_t i) { return std::pow(0.5, static_cast<double>(i)); });
-    EXPECT_TRUE(result.converged);
-    EXPECT_NEAR(result.value, 1.0, 1e-10);
-}
-
-TEST(SumSeries, ExponentialSeries) {
-    // sum over i>=1 of x^i/i! = e^x - 1.
-    const double x = 7.0;
-    const auto result = sum_series([x](std::size_t i) {
-        return std::exp(static_cast<double>(i) * std::log(x) - std::lgamma(static_cast<double>(i) + 1.0));
-    });
-    EXPECT_TRUE(result.converged);
-    EXPECT_NEAR(result.value, std::exp(x) - 1.0, 1e-6 * std::exp(x));
-}
-
-TEST(SumSeries, HumpedSeriesNotTruncatedEarly) {
-    // Terms of x^i/i! with x = 30 grow until i ~ 30: min_terms and the
-    // two-consecutive-small rule must carry the summation over the hump.
-    const double x = 30.0;
-    const auto result = sum_series([x](std::size_t i) {
-        return std::exp(static_cast<double>(i) * std::log(x) - std::lgamma(static_cast<double>(i) + 1.0));
-    });
-    EXPECT_TRUE(result.converged);
-    EXPECT_NEAR(result.value / (std::exp(x) - 1.0), 1.0, 1e-9);
-}
-
-TEST(SumSeries, RespectsMaxTerms) {
-    SeriesOptions options;
-    options.max_terms = 10;
-    const auto result = sum_series([](std::size_t) { return 1.0; }, options);
-    EXPECT_FALSE(result.converged);
-    EXPECT_EQ(result.terms, 10u);
-    EXPECT_DOUBLE_EQ(result.value, 10.0);
-}
-
-TEST(SumSeries, SaturationToInfinityIsReported) {
-    const auto result =
-        sum_series([](std::size_t i) { return std::exp(static_cast<double>(i)); });
-    EXPECT_TRUE(result.converged);
-    EXPECT_TRUE(std::isinf(result.value));
-}
-
 TEST(LogFactorial, SmallValues) {
     EXPECT_NEAR(log_factorial(0), 0.0, 1e-12);
     EXPECT_NEAR(log_factorial(1), 0.0, 1e-12);
