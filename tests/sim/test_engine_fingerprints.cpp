@@ -12,11 +12,18 @@
 // hundreds of shared instants, and the queue's own dispatch fingerprint
 // folds that order directly. A deliberate change to the
 // simulated dynamics re-records the table in the same change.
+//
+// The per-swarm digests do not cover the report's aggregates (the
+// demand-weighted unavailability, the pooled download time) or its per-file
+// rows, so a second table pins a hash of each catalog row's write_json
+// bytes, plus one serial run that a stop rule cuts short.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "catalog/bundling_policy.hpp"
@@ -28,6 +35,7 @@
 #include "sim/fingerprint.hpp"
 #include "sim/processes.hpp"
 #include "util/random.hpp"
+#include "util/telemetry.hpp"
 
 namespace swarmavail::sim {
 namespace {
@@ -55,17 +63,23 @@ struct CatalogRow {
     Policy policy;
     bool partitioned;
     Digest recorded;
+    std::uint64_t report;  ///< report_hash of the row's report
 };
 
-Digest run_catalog_row(const CatalogRow& row, std::size_t threads) {
+catalog::CatalogConfig catalog_config(std::size_t files) {
     catalog::CatalogConfig config;
-    config.num_files = 24;
+    config.num_files = files;
     config.zipf_exponent = 1.0;
-    config.aggregate_demand = 24.0 / 60.0;
+    config.aggregate_demand = static_cast<double>(files) / 60.0;
     config.file_size = 80.0;
     config.download_rate = 1.0;
     config.publisher_arrival_rate = 1.0 / 900.0;
     config.publisher_residence = 300.0;
+    return config;
+}
+
+catalog::CatalogReport run_catalog_row(const CatalogRow& row, std::size_t threads) {
+    catalog::CatalogConfig config = catalog_config(24);
     config.publishers = row.partitioned ? catalog::PublisherAssignment::kPartitionedBudget
                                         : catalog::PublisherAssignment::kDedicated;
     const catalog::Catalog cat = catalog::build_catalog(config);
@@ -85,7 +99,10 @@ Digest run_catalog_row(const CatalogRow& row, std::size_t threads) {
     engine.horizon = 2.0e4;
     engine.seed = 20090101;
     engine.policy = ParallelPolicy{threads};
-    const catalog::CatalogReport report = catalog::run_catalog(cat, *policy, engine);
+    return catalog::run_catalog(cat, *policy, engine);
+}
+
+Digest catalog_digest(const catalog::CatalogReport& report) {
     Digest digest{report.fingerprint, 0};
     for (const catalog::SwarmOutcome& swarm : report.swarms) {
         digest.events += swarm.result.fingerprint_events;
@@ -93,16 +110,31 @@ Digest run_catalog_row(const CatalogRow& row, std::size_t threads) {
     return digest;
 }
 
-// Recorded with the engines as of this table's introduction.
+// Digests recorded with the engines as of this table's introduction; the
+// report hashes were recorded later, while the report was still assembled
+// serially after the fan-out.
 const std::vector<CatalogRow>& catalog_rows() {
     static const std::vector<CatalogRow> table = {
-        {"none", Policy::kNone, false, {0x3b3da44bf1fde8cf, 17085}},
-        {"fixedk4", Policy::kFixedK4, false, {0x0292805a3741c5a9, 16477}},
-        {"greedy4", Policy::kGreedy4, false, {0xd62d2d3a25542ca9, 16354}},
-        {"fixedk4_partitioned", Policy::kFixedK4, true,
-         {0x418c7c4f2d8aaf51, 16266}},
+        {"none", Policy::kNone, false, {0x3b3da44bf1fde8cf, 17085}, 0xcfaa259be7211c6c},
+        {"fixedk4", Policy::kFixedK4, false, {0x0292805a3741c5a9, 16477},
+         0x1730856e23b66cd0},
+        {"greedy4", Policy::kGreedy4, false, {0xd62d2d3a25542ca9, 16354},
+         0x212fd020aee6cbed},
+        {"fixedk4_partitioned", Policy::kFixedK4, true, {0x418c7c4f2d8aaf51, 16266},
+         0xb5f0cb188b0aca4f},
     };
     return table;
+}
+
+/// 64-bit FNV-1a over a report's write_json bytes.
+std::uint64_t report_hash(const catalog::CatalogReport& report) {
+    std::ostringstream os;
+    catalog::write_json(report, os);
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const char byte : os.str()) {
+        hash = (hash ^ static_cast<unsigned char>(byte)) * 0x100000001b3ULL;
+    }
+    return hash;
 }
 
 TEST(EngineFingerprints, CatalogMatchesRecordedTable) {
@@ -112,9 +144,49 @@ TEST(EngineFingerprints, CatalogMatchesRecordedTable) {
     for (const CatalogRow& row : catalog_rows()) {
         for (const std::size_t threads : {1U, 4U}) {
             SCOPED_TRACE(std::string(row.name) + " threads=" + std::to_string(threads));
-            expect_recorded(run_catalog_row(row, threads), row.recorded);
+            expect_recorded(catalog_digest(run_catalog_row(row, threads)), row.recorded);
         }
     }
+#endif
+}
+
+void expect_report_recorded(const catalog::CatalogReport& report, std::uint64_t want) {
+    const std::uint64_t got = report_hash(report);
+    if (got != want) {
+        char line[32];
+        std::snprintf(line, sizeof line, "0x%016" PRIx64, got);
+        ADD_FAILURE() << "report bytes moved; this run gives " << line;
+    }
+}
+
+// The serial stopped-early run of
+// CatalogEngine.StopRuleEndsShardedSweepEarlyAndRecordsIt: 30 planned
+// swarms, cut after 8.
+constexpr std::uint64_t kStoppedEarlyReport = 0x2ab41bc90c01f6be;
+
+TEST(EngineFingerprints, CatalogReportMatchesRecordedTable) {
+#if defined(SWARMAVAIL_OBSERVE_DISABLED)
+    GTEST_SKIP() << "the report JSON embeds fingerprints, which are compiled out";
+#else
+    for (const CatalogRow& row : catalog_rows()) {
+        for (const std::size_t threads : {1U, 4U}) {
+            SCOPED_TRACE(std::string(row.name) + " threads=" + std::to_string(threads));
+            expect_report_recorded(run_catalog_row(row, threads), row.report);
+        }
+    }
+
+    const catalog::Catalog cat = catalog::build_catalog(catalog_config(60));
+    catalog::CatalogEngineConfig engine;
+    engine.horizon = 1.0e4;
+    engine.seed = 20090101;
+    engine.policy = ParallelPolicy{1};
+    engine.stop_rule = telemetry::StopRule{1.0, 8};
+    const catalog::CatalogReport stopped =
+        catalog::run_catalog(cat, catalog::FixedK{2}, engine);
+    ASSERT_TRUE(stopped.stopped_early);
+    ASSERT_EQ(stopped.swarms.size(), 8U);
+    SCOPED_TRACE("fixedk2_stopped_early");
+    expect_report_recorded(stopped, kStoppedEarlyReport);
 #endif
 }
 
