@@ -11,14 +11,17 @@ void CatalogConfig::validate() const {
     SWARMAVAIL_REQUIRE(num_files >= 1, "CatalogConfig: num_files must be >= 1");
     SWARMAVAIL_REQUIRE(std::isfinite(zipf_exponent) && zipf_exponent >= 0.0,
                        "CatalogConfig: zipf_exponent must be finite and >= 0");
-    SWARMAVAIL_REQUIRE(aggregate_demand > 0.0,
-                       "CatalogConfig: aggregate_demand must be > 0");
-    SWARMAVAIL_REQUIRE(file_size > 0.0, "CatalogConfig: file_size must be > 0");
-    SWARMAVAIL_REQUIRE(download_rate > 0.0, "CatalogConfig: download_rate must be > 0");
-    SWARMAVAIL_REQUIRE(publisher_arrival_rate > 0.0,
-                       "CatalogConfig: publisher_arrival_rate must be > 0");
-    SWARMAVAIL_REQUIRE(publisher_residence > 0.0,
-                       "CatalogConfig: publisher_residence must be > 0");
+    SWARMAVAIL_REQUIRE(std::isfinite(aggregate_demand) && aggregate_demand > 0.0,
+                       "CatalogConfig: aggregate_demand must be finite and > 0");
+    SWARMAVAIL_REQUIRE(std::isfinite(file_size) && file_size > 0.0,
+                       "CatalogConfig: file_size must be finite and > 0");
+    SWARMAVAIL_REQUIRE(std::isfinite(download_rate) && download_rate > 0.0,
+                       "CatalogConfig: download_rate must be finite and > 0");
+    SWARMAVAIL_REQUIRE(
+        std::isfinite(publisher_arrival_rate) && publisher_arrival_rate > 0.0,
+        "CatalogConfig: publisher_arrival_rate must be finite and > 0");
+    SWARMAVAIL_REQUIRE(std::isfinite(publisher_residence) && publisher_residence > 0.0,
+                       "CatalogConfig: publisher_residence must be finite and > 0");
 }
 
 double Catalog::total_demand() const noexcept {

@@ -1,12 +1,15 @@
 // Multi-swarm discrete-event engine: simulates every swarm of a bundled
 // catalog in one run.
 //
-// Given a policy's SwarmPlan, the engine builds one AvailabilityProcess per
-// swarm (seeded seed + swarm_index) and runs each swarm on its own private
-// EventQueue, fanned across sim::Parallel with per-index result buffering
-// and index-order merge — the same determinism contract as
-// run_replications, so every thread count (including 1) produces a
-// bit-identical CatalogReport.
+// Given a policy's SwarmPlan, the engine fans the swarms across
+// sim::Parallel. The worker for swarm i builds its config (seed
+// seed + swarm_index), runs one AvailabilityProcess on a private
+// EventQueue, and writes the swarm's report row and its files' rows into
+// storage sized before the fan-out. One serial pass then folds the
+// catalog-wide aggregates in swarm-index order — the same determinism
+// contract as run_replications, so every thread count (including 1)
+// produces a bit-identical CatalogReport. Full runs and runs a stop rule
+// cut short take the same path.
 //
 // Swarms in the plan are statistically independent given the policy (they
 // share no peers, no publishers, no capacity), which is what makes the
@@ -92,9 +95,9 @@ struct CatalogEngineConfig {
                                         const BundlingPolicy& policy,
                                         const CatalogEngineConfig& config);
 
-/// Same, for a pre-computed plan.
-[[nodiscard]] CatalogReport run_catalog_plan(const Catalog& catalog,
-                                             const SwarmPlan& plan,
+/// Same, for a pre-computed plan. The plan is taken by value: each swarm's
+/// file list moves into its report row, so pass an rvalue to avoid a copy.
+[[nodiscard]] CatalogReport run_catalog_plan(const Catalog& catalog, SwarmPlan plan,
                                              const CatalogEngineConfig& config);
 
 }  // namespace swarmavail::catalog

@@ -4,7 +4,6 @@
 #include <ostream>
 
 #include "sim/fingerprint.hpp"
-#include "util/check.hpp"
 #include "util/metrics.hpp"
 #include "util/table.hpp"
 
@@ -22,133 +21,7 @@ void write_stats(std::ostream& os, const StreamingStats& stats) {
        << ",\"max\":" << format_double_exact(stats.max()) << "}";
 }
 
-/// Shared accumulation core. `completed` == nullptr is the full-run path
-/// (byte-stable: denominators and iteration order exactly as before the
-/// partial variant existed); with a mask, only completed swarms contribute
-/// and the demand denominators are accumulated over the covered files.
-CatalogReport build_report_impl(const Catalog& catalog, const SwarmPlan& plan,
-                                const std::vector<model::SwarmParams>& params,
-                                std::vector<sim::AvailabilitySimResult>& results,
-                                const std::vector<char>* completed) {
-    SWARMAVAIL_REQUIRE(plan.size() == params.size() && plan.size() == results.size(),
-                       "build_report: plan/params/results size mismatch");
-    CatalogReport report;
-    report.swarms.reserve(plan.size());
-    report.files.resize(catalog.files.size());
-    report.swarms_planned = plan.size();
-
-    double download_seconds = 0.0;
-    double online_fraction_sum = 0.0;
-    double unavailable_time_weighted = 0.0;
-    double unavailability_weighted = 0.0;
-    double covered_demand = 0.0;
-    const double total_demand =
-        completed == nullptr ? catalog.total_demand() : 0.0;
-#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
-    sim::Fingerprint combined_fingerprint;
-    std::uint64_t fingerprinted_swarms = 0;
-#endif
-
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-        if (completed != nullptr && !(*completed)[i]) {
-            continue;
-        }
-        const sim::AvailabilitySimResult& result = results[i];
-        report.arrivals += result.arrivals;
-        report.served += result.served;
-        report.lost += result.lost;
-        report.stranded += result.stranded;
-        report.publisher_up_transitions += result.publisher_up_transitions;
-        download_seconds += result.download_times.sum();
-        online_fraction_sum += result.publisher_online_fraction;
-        report.expected_publisher_load +=
-            params[i].publisher_arrival_rate * params[i].publisher_residence;
-#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
-        // Canonical catalog fingerprint: index-order fold of the per-swarm
-        // digests, so any thread count that produced the
-        // same per-swarm sample paths combines to the same value.
-        if (result.fingerprint != 0) {
-            combined_fingerprint.fold(static_cast<std::uint64_t>(i));
-            combined_fingerprint.fold(result.fingerprint);
-            combined_fingerprint.fold(result.fingerprint_events);
-            ++fingerprinted_swarms;
-        }
-#endif
-
-        const double swarm_download_mean =
-            result.download_times.count() > 0 ? result.download_times.mean() : 0.0;
-        for (std::size_t id : plan[i]) {
-            FileOutcome& file = report.files[id];
-            file.file = id;
-            file.demand_rate = catalog.files[id].demand_rate;
-            file.swarm = i;
-            file.bundle_size = plan[i].size();
-            file.arrival_unavailability = result.arrival_unavailability;
-            file.unavailable_time_fraction = result.unavailable_time_fraction;
-            file.mean_download_time = swarm_download_mean;
-            unavailability_weighted += file.demand_rate * file.arrival_unavailability;
-            unavailable_time_weighted += file.demand_rate * file.unavailable_time_fraction;
-            covered_demand += file.demand_rate;
-        }
-
-        SwarmOutcome outcome;
-        outcome.swarm = i;
-        outcome.files = plan[i];
-        outcome.params = params[i];
-        outcome.result = std::move(results[i]);
-        report.swarms.push_back(std::move(outcome));
-    }
-
-    const double demand_denominator =
-        completed == nullptr ? total_demand : covered_demand;
-    if (demand_denominator > 0.0) {
-        report.demand_weighted_unavailability =
-            unavailability_weighted / demand_denominator;
-        report.demand_weighted_unavailable_time =
-            unavailable_time_weighted / demand_denominator;
-    }
-    if (report.served > 0) {
-        report.mean_download_time =
-            download_seconds / static_cast<double>(report.served);
-    }
-    if (!report.swarms.empty()) {
-        report.mean_publisher_online_fraction =
-            online_fraction_sum / static_cast<double>(report.swarms.size());
-    }
-#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
-    if (fingerprinted_swarms > 0) {
-        report.fingerprint = combined_fingerprint.digest();
-    }
-#endif
-    if (completed != nullptr) {
-        report.stopped_early = report.swarms.size() < plan.size();
-        // Drop the never-simulated files (every covered file has
-        // bundle_size >= 1, so the default-initialized entries are exactly
-        // the uncovered ones).
-        report.files.erase(
-            std::remove_if(report.files.begin(), report.files.end(),
-                           [](const FileOutcome& file) { return file.bundle_size == 0; }),
-            report.files.end());
-    }
-    return report;
-}
-
 }  // namespace
-
-CatalogReport build_report(const Catalog& catalog, const SwarmPlan& plan,
-                           const std::vector<model::SwarmParams>& params,
-                           std::vector<sim::AvailabilitySimResult> results) {
-    return build_report_impl(catalog, plan, params, results, nullptr);
-}
-
-CatalogReport build_partial_report(const Catalog& catalog, const SwarmPlan& plan,
-                                   const std::vector<model::SwarmParams>& params,
-                                   std::vector<sim::AvailabilitySimResult> results,
-                                   const std::vector<char>& completed) {
-    SWARMAVAIL_REQUIRE(completed.size() == plan.size(),
-                       "build_partial_report: completed mask size mismatch");
-    return build_report_impl(catalog, plan, params, results, &completed);
-}
 
 void record_metrics(const CatalogReport& report, MetricsRegistry& metrics) {
     metrics.counter("catalog.swarms").add(report.swarms.size());

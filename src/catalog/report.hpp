@@ -1,9 +1,10 @@
 // Catalog-run results: per-swarm and per-file outcomes plus catalog-wide
 // aggregates, with deterministic serialization.
 //
-// A CatalogReport is assembled from per-swarm AvailabilitySimResults in
-// swarm-index order, so its content is a pure function of (catalog, plan,
-// engine config) — independent of thread count or execution mode. The
+// The catalog engine (catalog_engine.hpp) fills a CatalogReport: its
+// workers write the per-swarm and per-file rows, and one serial pass folds
+// the aggregates in swarm-index order, so the content is a pure function
+// of (catalog, plan, engine config) — independent of thread count. The
 // JSON writer uses lossless double formatting, so two reports are
 // bit-identical iff their serializations compare equal (the acceptance
 // tests rely on this).
@@ -87,24 +88,6 @@ struct CatalogReport {
     /// demand rather than the whole catalog's.
     bool stopped_early = false;
 };
-
-/// Builds the report from per-swarm results (index order). `params` and
-/// `results` must parallel `plan`.
-[[nodiscard]] CatalogReport build_report(const Catalog& catalog, const SwarmPlan& plan,
-                                         const std::vector<model::SwarmParams>& params,
-                                         std::vector<sim::AvailabilitySimResult> results);
-
-/// Early-stop variant: `completed` parallels `plan` and marks the swarms
-/// that actually ran. Only completed swarms (original indices preserved)
-/// and their files appear in the report, and the demand-weighted aggregates
-/// are normalized over the covered demand. With every swarm marked
-/// completed this still uses the partial accumulation path — callers with a
-/// full run should use build_report, whose output is byte-stable.
-[[nodiscard]] CatalogReport build_partial_report(
-    const Catalog& catalog, const SwarmPlan& plan,
-    const std::vector<model::SwarmParams>& params,
-    std::vector<sim::AvailabilitySimResult> results,
-    const std::vector<char>& completed);
 
 /// Records the catalog-wide aggregates and per-swarm distributions into a
 /// registry under "catalog.*" names (counters for peer totals, histograms

@@ -1,6 +1,7 @@
 #include "sim/availability_process.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -62,7 +63,8 @@ const AvailabilitySimConfig& validated(const AvailabilitySimConfig& config) {
     require(config.coverage_threshold >= 1,
             "AvailabilitySim: coverage threshold must be >= 1");
     require(config.linger_time >= 0.0, "AvailabilitySim: linger_time must be >= 0");
-    require(config.horizon > 0.0, "AvailabilitySim: horizon must be > 0");
+    require(std::isfinite(config.horizon) && config.horizon > 0.0,
+            "AvailabilitySim: horizon must be finite and > 0");
     return config;
 }
 

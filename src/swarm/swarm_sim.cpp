@@ -131,7 +131,8 @@ class SwarmSim {
         require(config.publisher_capacity > 0.0, "SwarmSim: publisher capacity > 0");
         require(config.max_upload_slots >= 1, "SwarmSim: max_upload_slots >= 1");
         require(config.max_download_slots >= 1, "SwarmSim: max_download_slots >= 1");
-        require(config.horizon > 0.0, "SwarmSim: horizon must be > 0");
+        require(std::isfinite(config.horizon) && config.horizon > 0.0,
+                "SwarmSim: horizon must be finite and > 0");
         require(config.transfer_jitter >= 0.0 && config.transfer_jitter < 1.0,
                 "SwarmSim: transfer_jitter must lie in [0, 1)");
         if (config.publisher == PublisherBehavior::kOnOff) {

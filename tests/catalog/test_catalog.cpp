@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -81,6 +82,20 @@ TEST(CatalogConfig, ValidateRejectsDegenerateInputs) {
     config = base_config();
     config.publisher_residence = 0.0;
     EXPECT_THROW(config.validate(), std::invalid_argument);
+
+    // Every real-valued knob must also be finite: an infinite demand or
+    // publisher rate would otherwise fail deep inside the simulation.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    for (double CatalogConfig::*knob :
+         {&CatalogConfig::zipf_exponent, &CatalogConfig::aggregate_demand,
+          &CatalogConfig::file_size, &CatalogConfig::download_rate,
+          &CatalogConfig::publisher_arrival_rate, &CatalogConfig::publisher_residence}) {
+        for (const double value : {kInf, std::numeric_limits<double>::quiet_NaN()}) {
+            config = base_config();
+            config.*knob = value;
+            EXPECT_THROW(config.validate(), std::invalid_argument) << value;
+        }
+    }
 }
 
 TEST(BuildCatalog, ValidatesBeforeBuilding) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -277,6 +278,20 @@ TEST(CatalogEngine, ValidatesInputs) {
     EXPECT_NO_THROW((void)run_catalog(catalog, NoBundling{}, config));
 }
 
+// An infinite horizon passes `horizon > 0` but would never end the run.
+TEST(CatalogEngine, RejectsInfiniteHorizon) {
+    const auto catalog = build_catalog(base_catalog_config(4));
+    const auto config = base_engine_config(std::numeric_limits<double>::infinity());
+    try {
+        (void)run_catalog(catalog, NoBundling{}, config);
+        ADD_FAILURE() << "an infinite horizon was accepted";
+    } catch (const std::invalid_argument& error) {
+        EXPECT_NE(std::string(error.what()).find("run_catalog: horizon must be finite"),
+                  std::string::npos)
+            << error.what();
+    }
+}
+
 TEST(CatalogEngine, TelemetryAttachmentIsObserverNeutral) {
     // The acceptance-criterion pin: a run with a live telemetry session
     // produces a byte-identical report to a detached run at several thread
@@ -356,6 +371,65 @@ TEST(CatalogEngine, StopRuleEndsShardedSweepEarlyAndRecordsIt) {
     EXPECT_FALSE(full.stopped_early);
     EXPECT_EQ(full.swarms.size(), 30u);
     EXPECT_EQ(full.swarms_planned, 30u);
+}
+
+// A stop rule at four threads: the cut depends on scheduling, so every
+// check holds for any set of completed swarms. GreedyPopularity pairs the
+// hottest remaining file with the coldest, so the covered files are never
+// a prefix of the file ids and the per-file rows must be compacted.
+TEST(CatalogEngine, StoppedEarlyRowsMatchIsolatedRuns) {
+    const auto catalog = build_catalog(base_catalog_config(120));
+    const SwarmPlan plan = GreedyPopularity{2}.assign(catalog);  // 60 swarms
+    auto config = base_engine_config(1.0e4);
+    config.policy.threads = 4;
+    config.stop_rule = telemetry::StopRule{1.0, 8};  // generous: fires at 8
+
+    const auto report = run_catalog_plan(catalog, plan, config);
+    ASSERT_TRUE(report.stopped_early);
+    EXPECT_EQ(report.swarms_planned, plan.size());
+    ASSERT_GE(report.swarms.size(), 8u);
+    ASSERT_LT(report.swarms.size(), plan.size());
+
+    // Every reported swarm row bit-equals an isolated run of that swarm,
+    // and the rows stay in swarm-index order.
+    std::vector<std::size_t> swarm_of(catalog.files.size(), plan.size());
+    std::size_t covered_files = 0;
+    double weighted = 0.0;
+    double covered_demand = 0.0;
+    for (std::size_t row = 0; row < report.swarms.size(); ++row) {
+        const SwarmOutcome& swarm = report.swarms[row];
+        SCOPED_TRACE("swarm " + std::to_string(swarm.swarm));
+        ASSERT_LT(swarm.swarm, plan.size());
+        if (row > 0) {
+            EXPECT_LT(report.swarms[row - 1].swarm, swarm.swarm);
+        }
+        EXPECT_EQ(swarm.files, plan[swarm.swarm]);
+        const auto isolated = sim::run_availability_sim(
+            swarm_sim_config(catalog, plan, swarm.swarm, config));
+        expect_results_equal(swarm.result, isolated);
+        EXPECT_EQ(swarm.result.fingerprint, isolated.fingerprint);
+        covered_files += swarm.files.size();
+        for (std::size_t id : swarm.files) {
+            swarm_of[id] = swarm.swarm;
+            weighted += catalog.files[id].demand_rate * isolated.arrival_unavailability;
+            covered_demand += catalog.files[id].demand_rate;
+        }
+    }
+
+    // Every file row belongs to a reported swarm, once, in file-id order.
+    EXPECT_EQ(report.files.size(), covered_files);
+    for (std::size_t row = 0; row < report.files.size(); ++row) {
+        const FileOutcome& file = report.files[row];
+        ASSERT_LT(file.file, swarm_of.size());
+        ASSERT_EQ(file.swarm, swarm_of[file.file]) << "file " << file.file;
+        EXPECT_EQ(file.bundle_size, plan[file.swarm].size());
+        if (row > 0) {
+            EXPECT_LT(report.files[row - 1].file, file.file);
+        }
+    }
+
+    // The demand weighting is an index-order fold over the reported rows.
+    EXPECT_EQ(report.demand_weighted_unavailability, weighted / covered_demand);
 }
 
 TEST(CatalogEngine, ThousandFileCatalogStreamsPeriodicTelemetry) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "model/availability.hpp"
 #include "model/download_time.hpp"
@@ -170,6 +173,20 @@ TEST(AvailabilitySim, RejectsInvalidConfig) {
     config = base_config();
     config.linger_time = -1.0;
     EXPECT_THROW((void)run_availability_sim(config), std::invalid_argument);
+}
+
+// An infinite horizon passes `horizon > 0` but would never end the run.
+TEST(AvailabilitySim, RejectsInfiniteHorizon) {
+    auto config = base_config();
+    config.horizon = std::numeric_limits<double>::infinity();
+    try {
+        (void)run_availability_sim(config);
+        ADD_FAILURE() << "an infinite horizon was accepted";
+    } catch (const std::invalid_argument& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find("AvailabilitySim: horizon must be finite"), std::string::npos)
+            << what;
+    }
 }
 
 }  // namespace

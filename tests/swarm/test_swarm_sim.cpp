@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "util/telemetry.hpp"
 
@@ -222,6 +224,20 @@ TEST(SwarmSim, RejectsInvalidConfig) {
     config.pieces_per_file = 0;
     EXPECT_THROW((void)run_swarm_sim(config), std::invalid_argument);
     EXPECT_THROW((void)run_swarm_replications(base_config(), 0), std::invalid_argument);
+}
+
+// An infinite horizon passes `horizon > 0` but would never end the run.
+TEST(SwarmSim, RejectsInfiniteHorizon) {
+    auto config = base_config();
+    config.horizon = std::numeric_limits<double>::infinity();
+    try {
+        (void)run_swarm_sim(config);
+        ADD_FAILURE() << "an infinite horizon was accepted";
+    } catch (const std::invalid_argument& error) {
+        EXPECT_NE(std::string(error.what()).find("SwarmSim: horizon must be finite"),
+                  std::string::npos)
+            << error.what();
+    }
 }
 
 TEST(SwarmSim, RejectsDrainDeadlineBelowHorizon) {
