@@ -105,6 +105,8 @@ class PieceSet {
     }
 
  private:
+    friend class PieceCounts;  // keeps its nonzero() set a word at a time
+
     static constexpr std::size_t kWordBits = 64;
 
     /// Mask of the valid bits in the last word (all-ones when the piece
@@ -151,6 +153,118 @@ class PieceSet {
     std::vector<std::uint64_t> heap_words_;  ///< used only when > 64 pieces
     std::size_t num_pieces_ = 0;
     std::size_t count_ = 0;
+};
+
+/// Per-piece counters over a fixed piece range, stored bit-sliced: plane b
+/// holds bit b of every piece's count, one word per 64 pieces. Adding or
+/// subtracting a whole PieceSet is then a ripple carry over words and
+/// planes -- O(words x planes) -- instead of a loop over its pieces. Planes
+/// are appended as the largest count grows; a range of up to 64 pieces uses
+/// one word per plane. nonzero() is the OR of the planes: the pieces whose
+/// count is positive, as a PieceSet the word-at-a-time scans can mask with.
+class PieceCounts {
+ public:
+    /// Creates all-zero counters over `num_pieces` pieces (>= 1).
+    explicit PieceCounts(std::size_t num_pieces);
+
+    /// Adds one to the count of every piece in `set` (same size). Returns
+    /// true iff some piece's count went from 0 to 1.
+    bool add(const PieceSet& set) {
+        require(set.size() == nonzero_.size(), "PieceCounts::add: size mismatch");
+        const std::uint64_t* w = set.words();
+        std::uint64_t fresh = 0;
+        for (std::size_t wi = 0; wi < num_words_; ++wi) {
+            fresh |= add_word(wi, w[wi]);
+        }
+        return fresh != 0;
+    }
+
+    /// Adds one to the count of `piece`. Returns true iff it was 0.
+    bool add(std::size_t piece) {
+        require(piece < nonzero_.size(), "PieceCounts::add: piece index out of range");
+        return add_word(piece / kWordBits, bit_of(piece)) != 0;
+    }
+
+    /// Subtracts one from the count of every piece in `set` (same size).
+    /// Throws CheckFailure if any of those counts is already 0.
+    void remove(const PieceSet& set) {
+        require(set.size() == nonzero_.size(), "PieceCounts::remove: size mismatch");
+        const std::uint64_t* w = set.words();
+        for (std::size_t wi = 0; wi < num_words_; ++wi) {
+            remove_word(wi, w[wi]);
+        }
+    }
+
+    /// Subtracts one from the count of `piece`. Throws CheckFailure if it
+    /// is already 0.
+    void remove(std::size_t piece) {
+        require(piece < nonzero_.size(), "PieceCounts::remove: piece index out of range");
+        remove_word(piece / kWordBits, bit_of(piece));
+    }
+
+    /// The count of `piece`, read back from the planes in O(planes).
+    [[nodiscard]] std::uint64_t count(std::size_t piece) const;
+
+    /// Pieces with a positive count.
+    [[nodiscard]] const PieceSet& nonzero() const noexcept { return nonzero_; }
+
+    /// Whether any piece has a positive count.
+    [[nodiscard]] bool any() const noexcept { return !nonzero_.empty(); }
+
+    /// Recomputes the OR of the planes and compares it with nonzero(): the
+    /// invariant-audit mode's check that the two have not drifted apart.
+    [[nodiscard]] bool nonzero_matches_planes() const noexcept;
+
+ private:
+    static constexpr std::size_t kWordBits = PieceSet::kWordBits;
+
+    [[nodiscard]] static std::uint64_t bit_of(std::size_t piece) noexcept {
+        return std::uint64_t{1} << (piece % kWordBits);
+    }
+
+    /// Adds the pieces of `bits` (a mask over word wi) and returns those
+    /// whose count was 0.
+    std::uint64_t add_word(std::size_t wi, std::uint64_t bits) {
+        std::uint64_t& nonzero = nonzero_.words()[wi];
+        const std::uint64_t fresh = bits & ~nonzero;
+        nonzero |= bits;
+        nonzero_.count_ += static_cast<std::size_t>(std::popcount(fresh));
+        std::uint64_t carry = bits;
+        for (std::size_t plane = 0; carry != 0; ++plane) {
+            if (plane == num_planes_) {
+                planes_.resize(planes_.size() + num_words_, 0);
+                ++num_planes_;
+            }
+            std::uint64_t& word = planes_[plane * num_words_ + wi];
+            const std::uint64_t next = word & carry;
+            word ^= carry;
+            carry = next;
+        }
+        return fresh;
+    }
+
+    /// Subtracts the pieces of `bits` (a mask over word wi), then rebuilds
+    /// that word of nonzero_ from the planes.
+    void remove_word(std::size_t wi, std::uint64_t bits) {
+        std::uint64_t& nonzero = nonzero_.words()[wi];
+        ensure((bits & ~nonzero) == 0, "PieceCounts: count underflow");
+        std::uint64_t borrow = bits;
+        std::uint64_t remaining = 0;
+        for (std::size_t plane = 0; plane < num_planes_; ++plane) {
+            std::uint64_t& word = planes_[plane * num_words_ + wi];
+            const std::uint64_t next = ~word & borrow;
+            word ^= borrow;
+            borrow = next;
+            remaining |= word;
+        }
+        nonzero_.count_ -= static_cast<std::size_t>(std::popcount(nonzero ^ remaining));
+        nonzero = remaining;
+    }
+
+    PieceSet nonzero_;
+    std::size_t num_words_ = 0;
+    std::size_t num_planes_ = 0;
+    std::vector<std::uint64_t> planes_;  ///< plane-major: plane b at b * num_words_
 };
 
 }  // namespace swarmavail::swarm

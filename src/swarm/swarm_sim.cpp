@@ -87,11 +87,86 @@ void shuffle(std::vector<PeerId>& ids, Rng& rng) {
 }
 
 struct Transfer {
-    TransferId id = 0;
+    TransferId id = 0;  ///< 0 marks a finished slot of the TransferWindow
     PeerId src = 0;
     PeerId dst = 0;
     std::size_t piece = 0;
     EventId event = 0;
+};
+
+/// Live transfers indexed by id. The window hands out ids one by one from
+/// 1 (next_id()), so every live transfer lies in [oldest_, end_): a
+/// power-of-two ring of slots where id t sits at (head_ + t - oldest_) mod
+/// size. A finished transfer leaves a tombstone (id 0) and the window start
+/// skips past tombstones, so start, lookup and finish are O(1), and the
+/// ring reaches its steady-state size once and never allocates again.
+class TransferWindow {
+ public:
+    /// The live transfer `tid`, or nullptr if it finished or never started.
+    [[nodiscard]] Transfer* find(TransferId tid) noexcept {
+        if (tid < oldest_ || tid >= end_) {
+            return nullptr;
+        }
+        Transfer& slot = slots_[(head_ + (tid - oldest_)) & (slots_.size() - 1)];
+        return slot.id == tid ? &slot : nullptr;
+    }
+
+    /// The id the next push() takes.
+    [[nodiscard]] TransferId next_id() const noexcept { return end_; }
+
+    /// Appends a transfer; its id must be next_id().
+    void push(const Transfer& transfer) {
+        ensure(transfer.id == end_, "TransferWindow: ids must be consecutive");
+        if (end_ - oldest_ == slots_.size()) {
+            grow();
+        }
+        slots_[(head_ + (end_ - oldest_)) & (slots_.size() - 1)] = transfer;
+        ++end_;
+        ++live_;
+    }
+
+    /// Tombstones `transfer` (a live slot from find()) and advances the
+    /// window start past any tombstones at its head.
+    void erase(Transfer& transfer) noexcept {
+        transfer.id = 0;
+        --live_;
+        const std::size_t mask = slots_.size() - 1;
+        while (oldest_ < end_ && slots_[head_].id == 0) {
+            ++oldest_;
+            head_ = (head_ + 1) & mask;
+        }
+    }
+
+    [[nodiscard]] std::size_t live() const noexcept { return live_; }
+
+    /// Invokes fn(transfer) for every live transfer in id order.
+    template <typename Fn>
+    void for_each(Fn&& fn) const {
+        for (TransferId tid = oldest_; tid < end_; ++tid) {
+            const Transfer& slot = slots_[(head_ + (tid - oldest_)) & (slots_.size() - 1)];
+            if (slot.id != 0) {
+                fn(slot);
+            }
+        }
+    }
+
+ private:
+    /// Doubles the ring, unrolling the window to start at slot 0.
+    void grow() {
+        std::vector<Transfer> bigger(std::max<std::size_t>(64, 2 * slots_.size()));
+        const std::size_t span = end_ - oldest_;
+        for (std::size_t i = 0; i < span; ++i) {
+            bigger[i] = slots_[(head_ + i) & (slots_.size() - 1)];
+        }
+        slots_ = std::move(bigger);
+        head_ = 0;
+    }
+
+    std::vector<Transfer> slots_;  ///< size 0 or a power of two
+    std::size_t head_ = 0;         ///< slot of id oldest_
+    TransferId oldest_ = 1;        ///< window start: no live id is below it
+    TransferId end_ = 1;           ///< next id to be pushed
+    std::size_t live_ = 0;
 };
 
 class SwarmSim {
@@ -106,7 +181,6 @@ class SwarmSim {
         piece_bits_ = config_.file_size / static_cast<double>(config_.pieces_per_file);
         holders_.assign(pieces_total_, 0);
         holder_list_.assign(pieces_total_, {});
-        offered_count_.assign(pieces_total_, 0);
         queue_.set_audit(config_.debug_audit);
 #if !defined(SWARMAVAIL_OBSERVE_DISABLED)
         if (config_.fingerprint) {
@@ -399,6 +473,8 @@ class SwarmSim {
         std::size_t lingering_seeds = 0;
         std::size_t live_peers = 0;
         std::size_t free_uploaders = 0;
+        std::size_t down_transfers = 0;
+        std::size_t up_transfers = publisher_up_transfers_.size();
         std::vector<std::uint64_t> recomputed_holders(pieces_total_, 0);
         std::vector<std::uint64_t> recomputed_offers(pieces_total_, 0);
         for (PeerId id = 0; id < peer_slots_.size(); ++id) {
@@ -424,6 +500,8 @@ class SwarmSim {
             SWARMAVAIL_INVARIANT(peer.inflight.count() == hot_[id].down_used,
                                  "SwarmSim: in-flight piece set diverged from the "
                                  "download slot counter");
+            down_transfers += peer.down_transfers.size();
+            up_transfers += peer.up_transfers.size();
             audit::check_capacity_budget(
                 static_cast<double>(peer.up_used) * (peer.capacity / per_slot_divisor),
                 peer.capacity);
@@ -435,14 +513,12 @@ class SwarmSim {
                                      (peer.up_used < config_.max_upload_slots),
                                  "SwarmSim: free-uploader index out of sync with slot "
                                  "usage");
-            for (std::size_t p = 0; p < pieces_total_; ++p) {
-                if (peer.have.has(p)) {
-                    ++recomputed_holders[p];
-                    if (listed_free) {
-                        ++recomputed_offers[p];
-                    }
+            peer.have.for_each_held([&](std::size_t p) {
+                ++recomputed_holders[p];
+                if (listed_free) {
+                    ++recomputed_offers[p];
                 }
-            }
+            });
         }
         SWARMAVAIL_INVARIANT(live_peers == live_peers_,
                              "SwarmSim: live-peer counter diverged from the slot "
@@ -458,23 +534,55 @@ class SwarmSim {
         SWARMAVAIL_INVARIANT(publisher_up_used_ == publisher_up_transfers_.size(),
                              "SwarmSim: publisher slot counter diverged from its "
                              "transfer set");
+        // Each live transfer is listed once by its receiver and once by its
+        // source, and the lists hold nothing else.
+        const auto listed = [](const std::vector<TransferId>& ids, TransferId tid) {
+            return std::find(ids.begin(), ids.end(), tid) != ids.end();
+        };
+        transfers_.for_each([&](const Transfer& transfer) {
+            const Peer* dst = find_peer(transfer.dst);
+            SWARMAVAIL_INVARIANT(dst != nullptr && listed(dst->down_transfers, transfer.id),
+                                 "SwarmSim: a live transfer is missing from its "
+                                 "receiver's downloads");
+            const Peer* src = find_peer(transfer.src);
+            SWARMAVAIL_INVARIANT(transfer.src == kPublisher
+                                     ? listed(publisher_up_transfers_, transfer.id)
+                                     : src != nullptr && listed(src->up_transfers, transfer.id),
+                                 "SwarmSim: a live transfer is missing from its "
+                                 "source's uploads");
+        });
+        SWARMAVAIL_INVARIANT(transfers_.live() == down_transfers &&
+                                 transfers_.live() == up_transfers,
+                             "SwarmSim: a peer lists a transfer the transfer window "
+                             "does not hold");
         audit::check_capacity_budget(static_cast<double>(publisher_up_used_) *
                                          (config_.publisher_capacity / per_slot_divisor),
                                      config_.publisher_capacity);
-        audit::check_piece_accounting(offered_);
+        audit::check_piece_accounting(offered_.nonzero());
         audit::check_piece_accounting(unheld_);
+        SWARMAVAIL_INVARIANT(offered_.nonzero_matches_planes(),
+                             "SwarmSim: offered-piece bitmap diverged from the offer "
+                             "counters");
         std::size_t recomputed_covered = 0;
         for (std::size_t p = 0; p < pieces_total_; ++p) {
             audit::check_holder_consistency(p, holders_[p], recomputed_holders[p]);
-            SWARMAVAIL_INVARIANT(holder_list_[p].size() == recomputed_holders[p],
-                                 "SwarmSim: holder list length diverged from the "
-                                 "holder counter");
-            SWARMAVAIL_INVARIANT(offered_count_[p] == recomputed_offers[p],
+            std::size_t listed_live = 0;
+            for (const PeerId holder : holder_list_[p]) {
+                const Peer* peer = find_peer(holder);
+                SWARMAVAIL_INVARIANT(peer == nullptr || peer->have.has(p),
+                                     "SwarmSim: holder list names a peer without "
+                                     "the piece");
+                listed_live += peer != nullptr ? 1 : 0;
+            }
+            SWARMAVAIL_INVARIANT(listed_live == recomputed_holders[p],
+                                 "SwarmSim: live holder list diverged from the holder "
+                                 "counter");
+            SWARMAVAIL_INVARIANT(holder_list_[p].size() - listed_live <= listed_live,
+                                 "SwarmSim: departed holders outnumber live ones in a "
+                                 "holder list");
+            SWARMAVAIL_INVARIANT(offered_.count(p) == recomputed_offers[p],
                                  "SwarmSim: offered-piece counter diverged from the "
                                  "free uploaders' bitmaps");
-            SWARMAVAIL_INVARIANT(offered_.has(p) == (offered_count_[p] > 0),
-                                 "SwarmSim: offered-piece bitmap diverged from the "
-                                 "offer counters");
             SWARMAVAIL_INVARIANT(unheld_.has(p) == (holders_[p] == 0),
                                  "SwarmSim: unheld-piece bitmap diverged from the "
                                  "holder counters");
@@ -564,11 +672,10 @@ class SwarmSim {
 
     void on_transfer_complete(TransferId tid) {
         SWARMAVAIL_PROF_SCOPE("swarm.piece_transfer");
-        const auto it = find_transfer(tid);
-        ensure(it != transfers_.end() && it->id == tid,
-               "SwarmSim: completion for unknown transfer");
-        const Transfer transfer = *it;
-        transfers_.erase(it);
+        Transfer* live = transfers_.find(tid);
+        ensure(live != nullptr, "SwarmSim: completion for unknown transfer");
+        const Transfer transfer = *live;
+        transfers_.erase(*live);
         if (m_transfers_completed_ != nullptr) {
             m_transfers_completed_->add();
         }
@@ -585,11 +692,15 @@ class SwarmSim {
 
         if (!dst.have.has(transfer.piece)) {
             dst.have.add(transfer.piece);
+            std::vector<PeerId>& list = holder_list_[transfer.piece];
+            if (list.size() == list.capacity() && list.size() > holders_[transfer.piece]) {
+                // Full, with departed entries: reuse their room instead of
+                // growing the list.
+                compact_holders(transfer.piece, kPublisher);
+            }
             inc_holder(transfer.piece);
-            holder_list_[transfer.piece].push_back(transfer.dst);
-            if (hot_[transfer.dst].free_uploader != 0 &&
-                offered_count_[transfer.piece]++ == 0) {
-                offered_.add(transfer.piece);
+            list.push_back(transfer.dst);
+            if (hot_[transfer.dst].free_uploader != 0 && offered_.add(transfer.piece)) {
                 ++offered_gain_version_;
             }
             update_availability();
@@ -648,13 +759,18 @@ class SwarmSim {
         if (hot_[id].free_uploader != 0) {
             hot_[id].free_uploader = 0;
             --free_uploader_count_;
-            remove_offer(peer.have);
+            offered_.remove(peer.have);
         }
-        // Drop its pieces from the coverage map.
+        // Drop its pieces from the coverage map. Its holder-list entries stay
+        // behind: with no free slot and no neighbours left, a departed holder
+        // is never a source candidate, so the lists keep their order for the
+        // uniform source pick without an ordered erase. A list is compacted
+        // once its departed entries outnumber the live ones.
         peer.have.for_each_held([&](std::size_t p) {
             dec_holder(p);
-            auto& list = holder_list_[p];
-            list.erase(std::remove(list.begin(), list.end(), id), list.end());
+            if (holder_list_[p].size() > 2 * std::size_t{holders_[p]}) {
+                compact_holders(p, id);
+            }
         });
         // swarmlint-allow(det-unordered-iter): erases `id` from each neighbor's set by key; per-edge, commutative, no RNG
         for (const PeerId other : peer.neighbors) {
@@ -672,6 +788,14 @@ class SwarmSim {
         audit_state();
     }
 
+    /// Drops departed holders, and `leaving` (a holder on its way out), from
+    /// piece p's holder list, keeping the order of the rest.
+    void compact_holders(std::size_t p, PeerId leaving) {
+        std::erase_if(holder_list_[p], [this, leaving](PeerId holder) {
+            return holder == leaving || peer_slots_[holder] == nullptr;
+        });
+    }
+
     /// Cancels every transfer in `ids` (a snapshot is taken: cancellation
     /// mutates the sets). `src_left` selects which endpoint is going away.
     void cancel_transfers(const std::vector<TransferId>& ids, bool src_left) {
@@ -680,13 +804,13 @@ class SwarmSim {
         // order so none of that bookkeeping depends on hash layout.
         std::sort(cancel_snapshot_.begin(), cancel_snapshot_.end());
         for (TransferId tid : cancel_snapshot_) {
-            const auto it = find_transfer(tid);
-            if (it == transfers_.end() || it->id != tid) {
+            Transfer* live = transfers_.find(tid);
+            if (live == nullptr) {
                 continue;
             }
-            const Transfer transfer = *it;
+            const Transfer transfer = *live;
             queue_.cancel(transfer.event);
-            transfers_.erase(it);
+            transfers_.erase(*live);
             if (m_transfers_cancelled_ != nullptr) {
                 m_transfers_cancelled_->add();
             }
@@ -714,23 +838,11 @@ class SwarmSim {
         }
     }
 
-    /// Locates a live transfer by id (binary search: transfers_ stays
-    /// sorted because ids are handed out monotonically and erases keep
-    /// order). Callers check the returned iterator against end() and the
-    /// stored id -- a cancelled/completed transfer is simply absent.
-    [[nodiscard]] std::vector<Transfer>::iterator find_transfer(TransferId tid) {
-        return std::lower_bound(transfers_.begin(), transfers_.end(), tid,
-                                [](const Transfer& t, TransferId key) {
-                                    return t.id < key;
-                                });
-    }
-
     void release_src_slot(TransferId tid, const Transfer& transfer) {
         if (transfer.src == kPublisher) {
             erase_value(publisher_up_transfers_, tid);
-            if (publisher_up_used_ > 0) {
-                --publisher_up_used_;
-            }
+            ensure(publisher_up_used_ > 0, "SwarmSim: publisher slot underflow");
+            --publisher_up_used_;
         } else {
             Peer* src = find_peer(transfer.src);
             if (src != nullptr) {
@@ -756,35 +868,14 @@ class SwarmSim {
         hot_[id].free_uploader = now_free ? 1 : 0;
         if (now_free) {
             ++free_uploader_count_;
-            add_offer(peer->have);
+            // Pieces becoming newly obtainable wake dormant leechers.
+            if (offered_.add(peer->have)) {
+                ++offered_gain_version_;
+            }
         } else {
             --free_uploader_count_;
-            remove_offer(peer->have);
+            offered_.remove(peer->have);
         }
-    }
-
-    /// Adds a free uploader's pieces to the offered set; pieces becoming
-    /// newly obtainable bump the version that wakes dormant leechers.
-    void add_offer(const PieceSet& have) {
-        bool gained = false;
-        have.for_each_held([&](std::size_t p) {
-            if (offered_count_[p]++ == 0) {
-                offered_.add(p);
-                gained = true;
-            }
-        });
-        if (gained) {
-            ++offered_gain_version_;
-        }
-    }
-
-    void remove_offer(const PieceSet& have) {
-        have.for_each_held([&](std::size_t p) {
-            ensure(offered_count_[p] > 0, "SwarmSim: offered count underflow");
-            if (--offered_count_[p] == 0) {
-                offered_.remove(p);
-            }
-        });
     }
 
     // ---- transfer scheduling ----------------------------------------------
@@ -884,11 +975,11 @@ class SwarmSim {
     }
 
     /// The publisher's offer: every piece, only the unheld ones under
-    /// super-seeding, or nothing while it has no free slot (offered_ then
-    /// stands in, a no-op in the union with the peers' offer).
+    /// super-seeding, or nothing while it has no free slot (the peers' offer
+    /// then stands in, a no-op in the union with itself).
     [[nodiscard]] const PieceSet& publisher_offer() const noexcept {
         if (!publisher_free()) {
-            return offered_;
+            return offered_.nonzero();
         }
         return config_.super_seeding ? unheld_ : all_pieces_;
     }
@@ -898,7 +989,8 @@ class SwarmSim {
     [[nodiscard]] bool has_obtainable_piece(PeerId id) const {
         const Peer& peer = *peer_slots_[id];
         bool found = false;
-        peer.have.for_each_missing_masked(peer.inflight, offered_, publisher_offer(),
+        peer.have.for_each_missing_masked(peer.inflight, offered_.nonzero(),
+                                          publisher_offer(),
                                           [&found](std::size_t) { found = true; });
         return found;
     }
@@ -1032,8 +1124,8 @@ class SwarmSim {
                 }
             }
         };
-        dst.have.for_each_missing_masked(dst.inflight, offered_, publisher_offer(),
-                                         consider);
+        dst.have.for_each_missing_masked(dst.inflight, offered_.nonzero(),
+                                         publisher_offer(), consider);
         if (best_piece == pieces_total_) {
             if (config_.max_neighbors > 0) {
                 // Nothing fetchable in the current view: try to widen it
@@ -1087,7 +1179,7 @@ class SwarmSim {
                                      1.0 + config_.transfer_jitter);
         }
 
-        const TransferId tid = next_transfer_id_++;
+        const TransferId tid = transfers_.next_id();
         Peer& dst = peer_at(dst_id);
         ++hot_[dst_id].down_used;
         dst.inflight.add(piece);
@@ -1101,7 +1193,7 @@ class SwarmSim {
                                   static_cast<double>(piece), duration));
         const EventId event = queue_.schedule_at(
             queue_.now() + duration, [this, tid] { on_transfer_complete(tid); });
-        transfers_.push_back(Transfer{tid, src_id, dst_id, piece, event});
+        transfers_.push(Transfer{tid, src_id, dst_id, piece, event});
         dst.down_transfers.push_back(tid);
         if (src_id == kPublisher) {
             ++publisher_up_used_;
@@ -1138,19 +1230,13 @@ class SwarmSim {
     std::size_t live_peers_ = 0;
     std::vector<PeerId> leechers_;  ///< active downloaders, arrival order
     std::size_t free_uploader_count_ = 0;  ///< peers with hot_[id].free_uploader set
-    std::vector<std::uint32_t> offered_count_;   ///< free uploaders holding each piece
-    PieceSet offered_;     ///< bit p set iff offered_count_[p] > 0
+    PieceCounts offered_;  ///< free uploaders holding each piece; nonzero(): the offer
     PieceSet unheld_;      ///< bit p set iff holders_[p] == 0 (super-seeding offer)
     PieceSet all_pieces_;  ///< every piece (a free publisher's offer)
     std::uint64_t offered_gain_version_ = 0;     ///< bumped when new pieces get offered
     PeerId next_peer_id_ = 1;
 
-    /// Live transfers ordered by id. Ids are handed out monotonically and
-    /// erases keep order, so the vector stays sorted: lookups are a binary
-    /// search over the (small) set of concurrent transfers instead of a
-    /// hash probe, and start/finish never allocate hash nodes.
-    std::vector<Transfer> transfers_;
-    TransferId next_transfer_id_ = 1;
+    TransferWindow transfers_;
 
     /// Dense per-peer-id mirror of the fields the pump pass and source
     /// scans read for every candidate; see the note at struct Peer. Packed
@@ -1172,7 +1258,9 @@ class SwarmSim {
     std::vector<TransferId> publisher_up_transfers_;
 
     std::vector<std::uint32_t> holders_;            ///< online peer holders per piece
-    std::vector<std::vector<PeerId>> holder_list_;  ///< who holds each piece
+    /// Who holds each piece, in the order they got it; may still name
+    /// departed holders (see remove_peer).
+    std::vector<std::vector<PeerId>> holder_list_;
     std::size_t covered_ = 0;                       ///< pieces with >= 1 source online
     bool available_ = false;
     SimTime interval_begin_ = 0.0;

@@ -7,6 +7,9 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/check.hpp"
+#include "util/random.hpp"
+
 namespace swarmavail::swarm {
 namespace {
 
@@ -178,6 +181,112 @@ TEST(PieceSetScan, SizeMismatchThrows) {
                  std::invalid_argument);
     EXPECT_THROW(set.for_each_missing_masked(set, set, other, ignore),
                  std::invalid_argument);
+}
+
+// ---- bit-sliced counters ------------------------------------------------
+
+/// Checks every per-piece count, the nonzero set and any() against a
+/// plain per-piece reference.
+void expect_counts(const PieceCounts& counts, const std::vector<std::uint32_t>& ref) {
+    bool any = false;
+    for (std::size_t p = 0; p < ref.size(); ++p) {
+        ASSERT_EQ(counts.count(p), ref[p]) << "piece " << p;
+        ASSERT_EQ(counts.nonzero().has(p), ref[p] > 0) << "piece " << p;
+        any = any || ref[p] > 0;
+    }
+    EXPECT_EQ(counts.any(), any);
+    EXPECT_EQ(counts.nonzero().recount(), counts.nonzero().count());
+    EXPECT_TRUE(counts.nonzero_matches_planes());
+}
+
+TEST(PieceCounts, MatchesPerPieceReferenceUnderRandomUpdates) {
+    for (const std::size_t size : kScanSizes) {
+        SCOPED_TRACE(size);
+        Rng rng{0x5eed0000 + size};
+        PieceCounts counts{size};
+        std::vector<std::uint32_t> ref(size, 0);
+        expect_counts(counts, ref);
+        for (int step = 0; step < 600; ++step) {
+            // Adds outweigh removals for the first half, so counts climb
+            // through several planes, then the second half drains them.
+            const bool grow = rng.uniform() < (step < 300 ? 0.7 : 0.3);
+            const bool whole_set = rng.uniform() < 0.6;
+            if (grow && whole_set) {
+                const PieceSet set = patterned(size, rng());
+                bool was_zero = false;
+                set.for_each_held([&](std::size_t p) { was_zero |= ref[p]++ == 0; });
+                ASSERT_EQ(counts.add(set), was_zero);
+            } else if (grow) {
+                const std::size_t p = rng.uniform_index(size);
+                ASSERT_EQ(counts.add(p), ref[p]++ == 0);
+            } else if (whole_set) {
+                // A random subset of the counted pieces.
+                PieceSet set{size};
+                for (std::size_t p = 0; p < size; ++p) {
+                    if (ref[p] > 0 && rng.uniform() < 0.5) {
+                        set.add(p);
+                        --ref[p];
+                    }
+                }
+                counts.remove(set);
+            } else {
+                const std::size_t p = rng.uniform_index(size);
+                if (ref[p] == 0) {
+                    continue;
+                }
+                counts.remove(p);
+                --ref[p];
+            }
+            expect_counts(counts, ref);
+        }
+    }
+}
+
+TEST(PieceCounts, AddReportsOnlyPiecesNewlyCounted) {
+    PieceCounts counts{65};
+    PieceSet low{65};
+    low.add(3);
+    PieceSet both{65};
+    both.add(3);
+    both.add(64);
+    EXPECT_TRUE(counts.add(low));
+    EXPECT_FALSE(counts.add(low));  // 1 -> 2
+    EXPECT_TRUE(counts.add(both));  // piece 64 is new, piece 3 is not
+    EXPECT_FALSE(counts.add(3));
+    EXPECT_TRUE(counts.add(10));
+    EXPECT_FALSE(counts.add(PieceSet{65}));  // the empty set counts nothing
+    EXPECT_EQ(counts.count(3), 4u);
+    EXPECT_EQ(counts.count(64), 1u);
+}
+
+TEST(PieceCounts, UnderflowThrowsCheckFailure) {
+    for (const std::size_t size : kScanSizes) {
+        SCOPED_TRACE(size);
+        PieceCounts counts{size};
+        const std::size_t last = size - 1;
+        EXPECT_THROW(counts.remove(last), CheckFailure);
+        counts.add(last);
+        counts.remove(last);
+        EXPECT_THROW(counts.remove(last), CheckFailure);
+        if (size > 1) {
+            // A whole-set removal that reaches one zero count fails too.
+            PieceSet set{size};
+            set.add(0);
+            set.add(last);
+            counts.add(0);
+            EXPECT_THROW(counts.remove(set), CheckFailure);  // `last` is at 0
+        }
+    }
+}
+
+TEST(PieceCounts, BoundsAndSizeChecking) {
+    PieceCounts counts{64};
+    EXPECT_THROW(counts.add(64), std::invalid_argument);
+    EXPECT_THROW(counts.remove(64), std::invalid_argument);
+    EXPECT_THROW((void)counts.count(64), std::invalid_argument);
+    EXPECT_THROW(counts.add(PieceSet{65}), std::invalid_argument);
+    EXPECT_THROW(counts.remove(PieceSet{63}), std::invalid_argument);
+    EXPECT_THROW((PieceCounts{0}), std::invalid_argument);
 }
 
 }  // namespace

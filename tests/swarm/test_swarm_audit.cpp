@@ -11,6 +11,7 @@
 
 #include "swarm/piece_set.hpp"
 #include "swarm/swarm_sim.hpp"
+#include "swarm_fingerprint_table.hpp"
 #include "util/check.hpp"
 
 namespace swarmavail::swarm {
@@ -129,6 +130,24 @@ TEST(SwarmAudit, AuditModeDoesNotPerturbResults) {
     EXPECT_EQ(plain.completions, audited.completions);
     EXPECT_DOUBLE_EQ(plain.available_fraction, audited.available_fraction);
     EXPECT_EQ(plain.completion_times, audited.completion_times);
+}
+
+TEST(SwarmAudit, EveryFingerprintShapeRunsCleanAndUnperturbedUnderAudit) {
+    // The fingerprint table's shapes reach the bookkeeping the audit
+    // recomputes in every form: offer counts over two words (K = 10, 80
+    // pieces) and a ragged tail (90 pieces), holder lists thinned by
+    // departures and lingering seeds, limited visibility, super-seeding.
+    for (const fingerprint_table::Row& row : fingerprint_table::rows()) {
+        SCOPED_TRACE(row.name);
+        SwarmSimConfig config = fingerprint_table::config_for(row.shape);
+        const SwarmSimResult plain = run_swarm_sim(config);
+        config.debug_audit = true;
+        SwarmSimResult audited;
+        EXPECT_NO_THROW(audited = run_swarm_sim(config));
+        EXPECT_EQ(audited.fingerprint, plain.fingerprint);
+        EXPECT_EQ(audited.fingerprint_events, plain.fingerprint_events);
+        EXPECT_EQ(audited.completion_times, plain.completion_times);
+    }
 }
 
 }  // namespace
