@@ -58,7 +58,7 @@ void run_swarms(const Catalog& catalog, SwarmPlan& plan,
         counters = &config.telemetry->counters();
     }
 #endif
-    sim::Parallel::for_index(
+    sim::for_index(
         plan.size(), config.policy,
         [&](std::size_t i) {
             if (stoppable && stop.load(std::memory_order_acquire)) {

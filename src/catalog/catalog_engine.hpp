@@ -1,14 +1,14 @@
 // Multi-swarm discrete-event engine: simulates every swarm of a bundled
 // catalog in one run.
 //
-// Given a policy's SwarmPlan, the engine fans the swarms across
-// sim::Parallel. The worker for swarm i builds its config (seed
+// Given a policy's SwarmPlan, the engine fans the swarms out with
+// sim::for_index. The worker for swarm i builds its config (seed
 // seed + swarm_index), runs one AvailabilityProcess on a private
 // EventQueue, and writes the swarm's report row and its files' rows into
 // storage sized before the fan-out. One serial pass then folds the
-// catalog-wide aggregates in swarm-index order — the same determinism
-// contract as run_replications, so every thread count (including 1)
-// produces a bit-identical CatalogReport. Full runs and runs a stop rule
+// catalog-wide aggregates in swarm-index order — the determinism contract
+// of sim/parallel.hpp, so every thread count (including 1) produces a
+// bit-identical CatalogReport. Full runs and runs a stop rule
 // cut short take the same path.
 //
 // Swarms in the plan are statistically independent given the policy (they

@@ -1,11 +1,11 @@
 #include "sim/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <condition_variable>
-#include <cstdint>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -40,10 +40,13 @@ std::size_t ParallelPolicy::resolve() const {
     }
     // swarmlint-allow(det-env): selects worker-pool width only; results are bit-identical at every thread count (index-order merge, tests/sim/test_parallel.cpp)
     if (const char* env = std::getenv("SWARMAVAIL_THREADS")) {
-        char* end = nullptr;
-        const unsigned long parsed = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && parsed >= 1) {
-            return static_cast<std::size_t>(parsed);
+        // Digits only: from_chars takes no sign or blank and reports
+        // overflow, so "-1" cannot wrap to a huge thread count.
+        const char* end = env + std::strlen(env);
+        std::size_t parsed = 0;
+        const auto [ptr, error] = std::from_chars(env, end, parsed);
+        if (error == std::errc{} && ptr == end && parsed >= 1) {
+            return parsed;
         }
     }
     // swarmlint-allow(det-env): selects worker-pool width only; results are bit-identical at every thread count (index-order merge, tests/sim/test_parallel.cpp)
@@ -51,24 +54,27 @@ std::size_t ParallelPolicy::resolve() const {
     return hardware == 0 ? 1 : static_cast<std::size_t>(hardware);
 }
 
-struct Parallel::Impl {
-    std::vector<std::thread> workers;
-    std::mutex mutex;
-    std::condition_variable work_ready;
-    std::condition_variable work_done;
-    const std::function<void(std::size_t)>* fn = nullptr;
-    std::atomic<std::size_t> next{0};
+void for_index(std::size_t n, const ParallelPolicy& policy,
+               const std::function<void(std::size_t)>& fn,
+               telemetry::RunCounters* counters) {
+    require(static_cast<bool>(fn), "for_index: fn required");
+    const std::size_t threads = std::min(policy.resolve(), n);
     std::atomic<std::size_t> completed{0};
-    telemetry::RunCounters* counters = nullptr;
-    std::size_t n = 0;
-    std::uint64_t job_generation = 0;
-    std::size_t busy_workers = 0;
+    if (threads <= 1) {
+        // Serial path: no shared state, exceptions propagate directly.
+        SWARMAVAIL_PROF_SCOPE("parallel.worker_loop");
+        for (std::size_t i = 0; i < n; ++i) {
+            fn(i);
+            publish_queue_depth(counters, n, &completed);
+        }
+        return;
+    }
+    std::atomic<std::size_t> next{0};
+    std::mutex error_mutex;
     std::exception_ptr first_error;
-    bool stopping = false;
-
-    /// Claims indices until the range is exhausted; called by workers and
-    /// by the thread driving for_index.
-    void run_indices() {
+    // Claims indices until the range is exhausted; run by every started
+    // thread and by the calling thread.
+    const auto run_indices = [&] {
         SWARMAVAIL_PROF_SCOPE("parallel.worker_loop");
         for (;;) {
             const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
@@ -76,119 +82,35 @@ struct Parallel::Impl {
                 return;
             }
             try {
-                (*fn)(i);
+                fn(i);
             } catch (...) {
-                const std::lock_guard<std::mutex> lock(mutex);
+                const std::lock_guard<std::mutex> lock(error_mutex);
                 if (!first_error) {
                     first_error = std::current_exception();
                 }
             }
             publish_queue_depth(counters, n, &completed);
         }
-    }
-
-    void worker_loop() {
-        std::uint64_t seen_generation = 0;
-        for (;;) {
-            std::unique_lock<std::mutex> lock(mutex);
-            work_ready.wait(lock, [&] {
-                return stopping || job_generation != seen_generation;
-            });
-            if (stopping) {
-                return;
-            }
-            seen_generation = job_generation;
-            lock.unlock();
-            run_indices();
-            lock.lock();
-            if (--busy_workers == 0) {
-                work_done.notify_all();
-            }
-        }
-    }
-};
-
-Parallel::Parallel(std::size_t threads) : impl_(std::make_unique<Impl>()) {
-    require(threads >= 1, "Parallel: requires at least one thread");
-    impl_->workers.reserve(threads - 1);
-    for (std::size_t i = 0; i + 1 < threads; ++i) {
-        impl_->workers.emplace_back([impl = impl_.get()] { impl->worker_loop(); });
-    }
-}
-
-Parallel::~Parallel() {
+    };
     {
-        const std::lock_guard<std::mutex> lock(impl_->mutex);
-        impl_->stopping = true;
-    }
-    impl_->work_ready.notify_all();
-    for (std::thread& worker : impl_->workers) {
-        worker.join();
-    }
-}
-
-std::size_t Parallel::threads() const noexcept { return impl_->workers.size() + 1; }
-
-void Parallel::for_index(std::size_t n, const std::function<void(std::size_t)>& fn,
-                         telemetry::RunCounters* counters) {
-    require(static_cast<bool>(fn), "Parallel::for_index: fn required");
-    if (n == 0) {
-        return;
-    }
-    if (impl_->workers.empty() || n == 1) {
-        // Serial path: no shared state, exceptions propagate directly.
-        SWARMAVAIL_PROF_SCOPE("parallel.worker_loop");
-        std::atomic<std::size_t> completed{0};
-        for (std::size_t i = 0; i < n; ++i) {
-            fn(i);
-            publish_queue_depth(counters, n, &completed);
+        // jthread joins on destruction, also if starting a later thread throws.
+        std::vector<std::jthread> workers;
+        workers.reserve(threads - 1);
+        for (std::size_t t = 1; t < threads; ++t) {
+            workers.emplace_back(run_indices);
         }
-        return;
+        run_indices();
     }
-    {
-        const std::lock_guard<std::mutex> lock(impl_->mutex);
-        impl_->fn = &fn;
-        impl_->n = n;
-        impl_->counters = counters;
-        impl_->completed.store(0, std::memory_order_relaxed);
-        impl_->next.store(0, std::memory_order_relaxed);
-        impl_->busy_workers = impl_->workers.size();
-        impl_->first_error = nullptr;
-        ++impl_->job_generation;
+#if !defined(SWARMAVAIL_OBSERVE_DISABLED)
+    if (counters != nullptr) {
+        // Threads may store their depths out of completion order; a drained
+        // range reads 0.
+        counters->queue_depth.store(0.0, std::memory_order_relaxed);
     }
-    impl_->work_ready.notify_all();
-    impl_->run_indices();  // the calling thread is the pool's extra worker
-    std::unique_lock<std::mutex> lock(impl_->mutex);
-    impl_->work_done.wait(lock, [&] { return impl_->busy_workers == 0; });
-    impl_->fn = nullptr;
-    impl_->counters = nullptr;
-    if (impl_->first_error) {
-        std::exception_ptr error = impl_->first_error;
-        impl_->first_error = nullptr;
-        lock.unlock();
-        std::rethrow_exception(error);
+#endif
+    if (first_error) {
+        std::rethrow_exception(first_error);
     }
-}
-
-void Parallel::for_index(std::size_t n, const ParallelPolicy& policy,
-                         const std::function<void(std::size_t)>& fn,
-                         telemetry::RunCounters* counters) {
-    require(static_cast<bool>(fn), "Parallel::for_index: fn required");
-    std::size_t threads = policy.resolve();
-    if (threads > n) {
-        threads = n == 0 ? 1 : n;
-    }
-    if (threads <= 1) {
-        SWARMAVAIL_PROF_SCOPE("parallel.worker_loop");
-        std::atomic<std::size_t> completed{0};
-        for (std::size_t i = 0; i < n; ++i) {
-            fn(i);
-            publish_queue_depth(counters, n, &completed);
-        }
-        return;
-    }
-    Parallel pool{threads};
-    pool.for_index(n, fn, counters);
 }
 
 }  // namespace swarmavail::sim

@@ -1321,7 +1321,7 @@ std::vector<SwarmSimResult> run_swarm_replications(const SwarmSimConfig& config,
 #endif
     std::vector<SwarmSimResult> results(runs);
     std::vector<MetricsRegistry> registries(config.metrics != nullptr ? runs : 0);
-    sim::Parallel::for_index(
+    sim::for_index(
         runs, policy,
         [&](std::size_t i) {
             SwarmSimConfig run_config = config;

@@ -5,9 +5,8 @@
 // simulator (and each replication inside the parallel engine) writes to its
 // own instance, so the hot path is plain unsynchronized arithmetic (no
 // atomics, no locks). Parallel replications buffer one registry per index
-// and the harness folds them with merge() strictly in index order — the
-// same index-order reduction StreamingStats/SampleSet use — so merged
-// metrics are bit-identical for every thread count.
+// and swarm::run_swarm_replications folds them with merge() strictly in
+// index order, so merged metrics are bit-identical for every thread count.
 //
 // Hot-path usage: resolve metric references once at setup
 // (`Counter& arrivals = registry.counter("arrivals");`) and increment the

@@ -3,8 +3,8 @@
 // `SWARMAVAIL_PROF_SCOPE("sim.event_dispatch")` drops an RAII timer into a
 // block; every scope with the same name accumulates into one process-wide
 // phase (calls + wall seconds, inclusive of nested scopes). Accumulators
-// are per-thread relaxed atomics, so scopes are safe inside sim::Parallel
-// workers and the tsan build stays clean; Profiler::snapshot() folds the
+// are per-thread relaxed atomics, so scopes are safe inside sim::for_index
+// threads and the tsan build stays clean; Profiler::snapshot() folds the
 // per-thread slots on demand.
 //
 // Cost model: profiling is runtime-gated. Disabled (the default), a scope

@@ -76,20 +76,6 @@ void SampleSet::add_all(const std::vector<double>& xs) {
     sorted_valid_ = false;
 }
 
-void SampleSet::merge(SampleSet&& other) {
-    if (other.samples_.empty()) {
-        return;
-    }
-    if (samples_.empty()) {
-        samples_ = std::move(other.samples_);
-    } else {
-        samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
-    }
-    other.samples_.clear();
-    other.sorted_valid_ = false;
-    sorted_valid_ = false;
-}
-
 double SampleSet::mean() const {
     require(!samples_.empty(), "SampleSet::mean: empty sample set");
     double acc = 0.0;

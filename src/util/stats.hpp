@@ -52,13 +52,6 @@ class SampleSet {
     void add(double x);
     void add_all(const std::vector<double>& xs);
 
-    /// Appends another set's observations (in their original order) and
-    /// leaves `other` empty. Merging preserves pooled moments and quantiles
-    /// exactly: the result is identical to having added every observation
-    /// to one set in sequence. Used by the parallel replication engine to
-    /// combine per-replication batches in index order.
-    void merge(SampleSet&& other);
-
     [[nodiscard]] bool empty() const noexcept { return samples_.empty(); }
     [[nodiscard]] std::size_t size() const noexcept { return samples_.size(); }
     [[nodiscard]] double mean() const;

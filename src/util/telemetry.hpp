@@ -1,7 +1,7 @@
 // Live run telemetry: periodic wall-clock snapshots of a running
 // experiment, published through pluggable exporters.
 //
-// A TelemetrySession sits beside a long run (a replication batch, a
+// A TelemetrySession sits beside a long run (swarm replications, a
 // catalog sweep) and makes it observable while it executes, the way
 // production swarming systems are observed: every `interval_s` seconds a
 // background sampler thread reads the run-level counters (replications and
@@ -25,12 +25,11 @@
 //     SWARMAVAIL_OBSERVE_DISABLED (util/observe.hpp, the trace-off preset).
 //
 // StopRule is the one deliberate exception to observer neutrality: an
-// *opt-in* control hook that ends a replication batch or catalog sweep
-// early once the 95% confidence half-width of the tracked estimate falls
-// below a target. It changes which work runs, so the early-stop decision
-// is recorded in the result (ExperimentCell::stopped_early,
-// CatalogReport::stopped_early) and determinism-sensitive callers simply
-// leave the rule unset. StopRule lives here header-only so the engines can
+// *opt-in* control hook that ends a catalog sweep early once the 95%
+// confidence half-width of the tracked estimate falls below a target. It
+// changes which work runs, so the early-stop decision is recorded in the
+// result (CatalogReport::stopped_early) and determinism-sensitive callers
+// simply leave the rule unset. StopRule lives here header-only so the engines can
 // evaluate it without linking any telemetry machinery.
 #pragma once
 
@@ -76,8 +75,8 @@ struct RunCounters {
     std::atomic<double> sim_time_advanced{0.0};
     /// Total simulated seconds the run intends to execute (0 if unknown).
     std::atomic<double> sim_time_target{0.0};
-    /// Pending-work gauge, last writer wins: unclaimed fan-out indices
-    /// under sim::Parallel, queued requests in the planning server.
+    /// Pending-work gauge, last writer wins: not-yet-completed fan-out
+    /// indices under sim::for_index, queued requests in the planning server.
     std::atomic<double> queue_depth{0.0};
     /// Running XOR of completed work units' determinism fingerprints (see
     /// sim/fingerprint.hpp). XOR is commutative, so the value at run

@@ -1,6 +1,6 @@
-// Parallel replication engine: executor unit tests plus the determinism
-// suite -- serial (ParallelPolicy{1}) and multi-threaded runs of every
-// replication harness must produce bit-identical experiment statistics.
+// Parallel replication engine: for_index unit tests plus the determinism
+// suite -- a serial run (ParallelPolicy{1}) and runs at 4 and 16 threads of
+// every replication fan-out must produce bit-identical results.
 #include "sim/parallel.hpp"
 
 #include <gtest/gtest.h>
@@ -12,60 +12,46 @@
 #include <vector>
 
 #include "sim/availability_sim.hpp"
-#include "sim/experiment.hpp"
 #include "sim/monte_carlo.hpp"
 #include "swarm/swarm_sim.hpp"
 #include "util/metrics.hpp"
 #include "util/random.hpp"
+#include "util/stats.hpp"
+#include "util/telemetry.hpp"
 
 namespace swarmavail::sim {
 namespace {
 
-// ---- executor ----------------------------------------------------------
+// ---- for_index ---------------------------------------------------------
 
 TEST(Parallel, CoversEveryIndexExactlyOnce) {
-    Parallel pool{4};
-    EXPECT_EQ(pool.threads(), 4u);
     std::vector<int> hits(257, 0);
-    pool.for_index(hits.size(), [&](std::size_t i) { ++hits[i]; });
+    for_index(hits.size(), ParallelPolicy{4}, [&](std::size_t i) { ++hits[i]; });
     for (std::size_t i = 0; i < hits.size(); ++i) {
         EXPECT_EQ(hits[i], 1) << "index " << i;
     }
 }
 
 TEST(Parallel, ZeroAndSingleIndexRanges) {
-    Parallel pool{3};
     std::atomic<int> calls{0};
-    pool.for_index(0, [&](std::size_t) { ++calls; });
+    for_index(0, ParallelPolicy{3}, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls.load(), 0);
-    pool.for_index(1, [&](std::size_t i) {
+    for_index(1, ParallelPolicy{3}, [&](std::size_t i) {
         EXPECT_EQ(i, 0u);
         ++calls;
     });
     EXPECT_EQ(calls.load(), 1);
 }
 
-TEST(Parallel, PoolIsReusableAcrossCalls) {
-    Parallel pool{2};
-    for (int round = 0; round < 3; ++round) {
-        std::vector<int> hits(50, 0);
-        pool.for_index(hits.size(), [&](std::size_t i) { ++hits[i]; });
-        for (int h : hits) {
-            EXPECT_EQ(h, 1);
-        }
-    }
-}
-
 TEST(Parallel, PropagatesExceptionsAfterCompletingTheRange) {
-    Parallel pool{4};
     std::vector<int> hits(64, 0);
-    EXPECT_THROW(pool.for_index(hits.size(),
-                                [&](std::size_t i) {
-                                    ++hits[i];
-                                    if (i == 13) {
-                                        throw std::runtime_error("replication failed");
-                                    }
-                                }),
+    EXPECT_THROW(for_index(hits.size(), ParallelPolicy{4},
+                           [&](std::size_t i) {
+                               ++hits[i];
+                               if (i == 13) {
+                                   throw std::runtime_error("replication failed");
+                               }
+                           }),
                  std::runtime_error);
     // Every index still ran: one failed replication must not silently drop
     // the others (their result slots stay consistent).
@@ -75,19 +61,45 @@ TEST(Parallel, PropagatesExceptionsAfterCompletingTheRange) {
 }
 
 TEST(Parallel, SerialPoolPropagatesImmediately) {
-    Parallel pool{1};
-    EXPECT_EQ(pool.threads(), 1u);
-    EXPECT_THROW(
-        pool.for_index(4, [](std::size_t) { throw std::invalid_argument("boom"); }),
-        std::invalid_argument);
+    int calls = 0;
+    EXPECT_THROW(for_index(4, ParallelPolicy::serial(),
+                           [&](std::size_t) {
+                               ++calls;
+                               throw std::invalid_argument("boom");
+                           }),
+                 std::invalid_argument);
+    EXPECT_EQ(calls, 1);  // the serial loop stops at the first throw
 }
 
 TEST(Parallel, RejectsInvalidArguments) {
-    EXPECT_THROW(Parallel{0}, std::invalid_argument);
-    Parallel pool{2};
-    EXPECT_THROW(pool.for_index(1, nullptr), std::invalid_argument);
-    EXPECT_THROW(Parallel::for_index(1, ParallelPolicy{2}, nullptr),
-                 std::invalid_argument);
+    EXPECT_THROW(for_index(1, ParallelPolicy::serial(), nullptr), std::invalid_argument);
+    EXPECT_THROW(for_index(1, ParallelPolicy{2}, nullptr), std::invalid_argument);
+}
+
+TEST(Parallel, QueueDepthReadsZeroOnceDrained) {
+#if defined(SWARMAVAIL_OBSERVE_DISABLED)
+    GTEST_SKIP() << "queue-depth publication is compiled out";
+#else
+    for (const std::size_t threads : {1u, 3u}) {
+        SCOPED_TRACE(threads);
+        telemetry::RunCounters counters;
+        counters.queue_depth.store(-1.0);
+        std::atomic<std::size_t> calls{0};
+        for_index(40, ParallelPolicy{threads}, [&](std::size_t) { ++calls; }, &counters);
+        EXPECT_EQ(calls.load(), 40u);
+        EXPECT_EQ(counters.queue_depth.load(), 0.0);
+    }
+    // On the serial path fn(i) sees the depth published after index i - 1.
+    telemetry::RunCounters counters;
+    for_index(
+        5, ParallelPolicy::serial(),
+        [&](std::size_t i) {
+            if (i > 0) {
+                EXPECT_EQ(counters.queue_depth.load(), static_cast<double>(5 - i));
+            }
+        },
+        &counters);
+#endif
 }
 
 TEST(ParallelPolicy, ExplicitCountWins) {
@@ -96,41 +108,91 @@ TEST(ParallelPolicy, ExplicitCountWins) {
 }
 
 TEST(ParallelPolicy, EnvVarOverridesAuto) {
+    // Only resolve() runs here: a bad value must not start any thread.
+    ASSERT_EQ(unsetenv("SWARMAVAIL_THREADS"), 0);
+    const std::size_t automatic = ParallelPolicy{}.resolve();
+    EXPECT_GE(automatic, 1u);
     ASSERT_EQ(setenv("SWARMAVAIL_THREADS", "5", 1), 0);
     EXPECT_EQ(ParallelPolicy{}.resolve(), 5u);
     // Explicit thread counts are not overridden by the environment.
     EXPECT_EQ(ParallelPolicy{2}.resolve(), 2u);
-    // Garbage or non-positive values fall back to auto (>= 1).
-    ASSERT_EQ(setenv("SWARMAVAIL_THREADS", "zero", 1), 0);
-    EXPECT_GE(ParallelPolicy{}.resolve(), 1u);
-    ASSERT_EQ(setenv("SWARMAVAIL_THREADS", "0", 1), 0);
-    EXPECT_GE(ParallelPolicy{}.resolve(), 1u);
+    // Anything but a positive count in plain digits falls back to auto:
+    // no sign, no blank, no value that overflows.
+    for (const char* bad : {"zero", "0", "-1", "+3", " 4", "4 ", "",
+                            "99999999999999999999999999"}) {
+        SCOPED_TRACE(bad);
+        ASSERT_EQ(setenv("SWARMAVAIL_THREADS", bad, 1), 0);
+        EXPECT_EQ(ParallelPolicy{}.resolve(), automatic);
+    }
     ASSERT_EQ(unsetenv("SWARMAVAIL_THREADS"), 0);
-    EXPECT_GE(ParallelPolicy{}.resolve(), 1u);
+    EXPECT_EQ(ParallelPolicy{}.resolve(), automatic);
 }
 
 // ---- determinism suite -------------------------------------------------
 //
-// Each workload runs once with ParallelPolicy{1} and once with
-// ParallelPolicy{4}; the pooled samples, run-level stats, and best-point
-// selection must match bit for bit (EXPECT_EQ on doubles, not EXPECT_NEAR).
+// Each workload runs once with ParallelPolicy{1} and once at each of
+// kThreadCounts. Every index writes only its own result slot; the slots and
+// their index-order fold must match bit for bit (EXPECT_EQ on doubles, not
+// EXPECT_NEAR).
 
-void expect_cells_identical(const ExperimentCell& serial, const ExperimentCell& parallel) {
-    EXPECT_EQ(serial.replications, parallel.replications);
-    EXPECT_EQ(serial.samples.samples(), parallel.samples.samples());
+constexpr std::size_t kThreadCounts[] = {4, 16};
+
+using Slots = std::vector<std::vector<double>>;
+
+/// Runs body(seed + i) for every i in [0, runs) on `threads` threads.
+template <typename Body>
+Slots replicate(const Body& body, std::size_t runs, std::uint64_t seed,
+                std::size_t threads) {
+    Slots slots(runs);
+    for_index(runs, ParallelPolicy{threads},
+              [&](std::size_t i) { slots[i] = body(seed + i); });
+    return slots;
+}
+
+/// The slots folded in index order: pooled samples and per-run means.
+struct Folded {
+    std::vector<double> samples;
+    StreamingStats run_means;
+};
+
+Folded fold(const Slots& slots) {
+    Folded folded;
+    for (const std::vector<double>& slot : slots) {
+        folded.samples.insert(folded.samples.end(), slot.begin(), slot.end());
+        if (!slot.empty()) {
+            StreamingStats run;
+            for (double x : slot) {
+                run.add(x);
+            }
+            folded.run_means.add(run.mean());
+        }
+    }
+    return folded;
+}
+
+void expect_folds_identical(const Folded& serial, const Folded& parallel) {
+    EXPECT_EQ(serial.samples, parallel.samples);
     EXPECT_EQ(serial.run_means.count(), parallel.run_means.count());
     EXPECT_EQ(serial.run_means.mean(), parallel.run_means.mean());
     EXPECT_EQ(serial.run_means.variance(), parallel.run_means.variance());
     EXPECT_EQ(serial.run_means.min(), parallel.run_means.min());
     EXPECT_EQ(serial.run_means.max(), parallel.run_means.max());
-    EXPECT_EQ(serial.ci95(), parallel.ci95());
-    if (!serial.samples.empty()) {
-        EXPECT_EQ(serial.mean(), parallel.mean());
-        EXPECT_EQ(serial.samples.quantile(0.9), parallel.samples.quantile(0.9));
+    EXPECT_EQ(serial.run_means.ci95_halfwidth(), parallel.run_means.ci95_halfwidth());
+}
+
+template <typename Body>
+void expect_thread_count_invariant(const Body& body, std::size_t runs,
+                                   std::uint64_t seed) {
+    const Slots serial = replicate(body, runs, seed, 1);
+    for (const std::size_t threads : kThreadCounts) {
+        SCOPED_TRACE(threads);
+        const Slots parallel = replicate(body, runs, seed, threads);
+        EXPECT_EQ(serial, parallel);
+        expect_folds_identical(fold(serial), fold(parallel));
     }
 }
 
-std::vector<double> availability_body(std::uint64_t seed) {
+std::vector<double> availability_body(std::uint64_t seed, MetricsRegistry* metrics) {
     AvailabilitySimConfig config;
     config.params.peer_arrival_rate = 1.0 / 60.0;
     config.params.content_size = 80.0;
@@ -139,6 +201,7 @@ std::vector<double> availability_body(std::uint64_t seed) {
     config.params.publisher_residence = 300.0;
     config.horizon = 20000.0;
     config.seed = seed;
+    config.metrics = metrics;
     const auto result = run_availability_sim(config);
     std::vector<double> samples;
     if (result.download_times.count() > 0) {
@@ -180,60 +243,24 @@ std::vector<double> busy_period_body(std::uint64_t seed) {
 }
 
 TEST(ParallelDeterminism, AvailabilitySimReplications) {
-    const auto serial =
-        run_replications("avail", availability_body, 8, 100, ParallelPolicy{1});
-    const auto parallel =
-        run_replications("avail", availability_body, 8, 100, ParallelPolicy{4});
-    expect_cells_identical(serial, parallel);
+    expect_thread_count_invariant(
+        [](std::uint64_t seed) { return availability_body(seed, nullptr); }, 8, 100);
 }
 
 TEST(ParallelDeterminism, SwarmSimReplications) {
-    const auto serial = run_replications("swarm", swarm_body, 6, 40, ParallelPolicy{1});
-    const auto parallel = run_replications("swarm", swarm_body, 6, 40, ParallelPolicy{4});
-    expect_cells_identical(serial, parallel);
+    expect_thread_count_invariant(swarm_body, 6, 40);
 }
 
 TEST(ParallelDeterminism, MonteCarloBusyPeriodReplications) {
-    const auto serial = run_replications("mc", busy_period_body, 10, 7, ParallelPolicy{1});
-    const auto parallel =
-        run_replications("mc", busy_period_body, 10, 7, ParallelPolicy{4});
-    expect_cells_identical(serial, parallel);
+    expect_thread_count_invariant(busy_period_body, 10, 7);
 }
 
-TEST(ParallelDeterminism, SweepAndBestPointSelection) {
-    const std::vector<double> values{1.0, 2.0, 3.0};
-    const auto body = [](double value, std::uint64_t seed) {
-        Rng rng{seed};
-        std::vector<double> samples;
-        for (int i = 0; i < 50; ++i) {
-            samples.push_back(value + rng.uniform(-0.5, 0.5));
-        }
-        return samples;
-    };
-    const auto serial = run_sweep(values, body, 4, 900, ParallelPolicy{1});
-    const auto parallel = run_sweep(values, body, 4, 900, ParallelPolicy{4});
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].value, parallel[i].value);
-        expect_cells_identical(serial[i].cell, parallel[i].cell);
-    }
-    EXPECT_EQ(best_point(serial).value, best_point(parallel).value);
+TEST(ParallelDeterminism, ThreadCountBeyondReplicationsIsSafe) {
+    expect_thread_count_invariant(busy_period_body, 3, 1);
 }
 
-TEST(ParallelDeterminism, BestPointTiesBreakIdentically) {
-    // Two cells with exactly equal means: both policies must pick the
-    // earlier value (the documented tie-break).
-    const auto body = [](double, std::uint64_t) { return std::vector<double>{1.0}; };
-    const auto serial = run_sweep({5.0, 6.0}, body, 3, 0, ParallelPolicy{1});
-    const auto parallel = run_sweep({5.0, 6.0}, body, 3, 0, ParallelPolicy{4});
-    EXPECT_EQ(best_point(serial).value, 5.0);
-    EXPECT_EQ(best_point(parallel).value, 5.0);
-}
-
-TEST(ParallelDeterminism, SwarmReplicationHarness) {
-    const auto config = small_swarm_config();
-    const auto serial = swarm::run_swarm_replications(config, 5, ParallelPolicy{1});
-    const auto parallel = swarm::run_swarm_replications(config, 5, ParallelPolicy{4});
+void expect_swarm_runs_identical(const std::vector<swarm::SwarmSimResult>& serial,
+                                 const std::vector<swarm::SwarmSimResult>& parallel) {
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         EXPECT_EQ(serial[i].arrivals, parallel[i].arrivals);
@@ -244,6 +271,16 @@ TEST(ParallelDeterminism, SwarmReplicationHarness) {
         EXPECT_EQ(serial[i].download_times.mean(), parallel[i].download_times.mean());
         EXPECT_EQ(serial[i].available_fraction, parallel[i].available_fraction);
         EXPECT_EQ(serial[i].last_completion, parallel[i].last_completion);
+    }
+}
+
+TEST(ParallelDeterminism, SwarmReplicationHarness) {
+    const auto config = small_swarm_config();
+    const auto serial = swarm::run_swarm_replications(config, 5, ParallelPolicy{1});
+    for (const std::size_t threads : kThreadCounts) {
+        SCOPED_TRACE(threads);
+        expect_swarm_runs_identical(
+            serial, swarm::run_swarm_replications(config, 5, ParallelPolicy{threads}));
     }
 }
 
@@ -282,65 +319,50 @@ void expect_registries_identical(const MetricsRegistry& a, const MetricsRegistry
     }
 }
 
-std::vector<double> availability_metrics_body(std::uint64_t seed,
-                                              MetricsRegistry& metrics) {
-    AvailabilitySimConfig config;
-    config.params.peer_arrival_rate = 1.0 / 60.0;
-    config.params.content_size = 80.0;
-    config.params.download_rate = 1.0;
-    config.params.publisher_arrival_rate = 1.0 / 900.0;
-    config.params.publisher_residence = 300.0;
-    config.horizon = 20000.0;
-    config.seed = seed;
-    config.metrics = &metrics;
-    const auto result = run_availability_sim(config);
-    std::vector<double> samples;
-    if (result.download_times.count() > 0) {
-        samples.push_back(result.download_times.mean());
-    }
-    samples.push_back(result.unavailable_time_fraction);
-    return samples;
-}
-
-TEST(ParallelDeterminism, MetricsReplicationsMergeBitIdentically) {
+TEST(ParallelDeterminism, MetricsRegistriesMergeBitIdentically) {
+    // One private registry per index, folded into `merged` in index order.
+    constexpr std::size_t kRuns = 8;
+    const auto run = [](std::size_t threads, MetricsRegistry& merged) {
+        Slots slots(kRuns);
+        std::vector<MetricsRegistry> registries(kRuns);
+        for_index(kRuns, ParallelPolicy{threads}, [&](std::size_t i) {
+            slots[i] = availability_body(100 + i, &registries[i]);
+        });
+        for (const MetricsRegistry& registry : registries) {
+            merged.merge(registry);
+        }
+        return slots;
+    };
     MetricsRegistry serial_metrics;
-    const auto serial = run_replications("avail", availability_metrics_body, 8, 100,
-                                         serial_metrics, ParallelPolicy{1});
-    MetricsRegistry parallel_metrics;
-    const auto parallel = run_replications("avail", availability_metrics_body, 8, 100,
-                                           parallel_metrics, ParallelPolicy{4});
-    expect_cells_identical(serial, parallel);
+    const Slots serial = run(1, serial_metrics);
     ASSERT_GT(serial_metrics.size(), 0u);
     EXPECT_GT(serial_metrics.find_counter("avail.arrivals")->value(), 0u);
-    expect_registries_identical(serial_metrics, parallel_metrics);
+    for (const std::size_t threads : kThreadCounts) {
+        SCOPED_TRACE(threads);
+        MetricsRegistry parallel_metrics;
+        const Slots parallel = run(threads, parallel_metrics);
+        EXPECT_EQ(serial, parallel);
+        expect_folds_identical(fold(serial), fold(parallel));
+        expect_registries_identical(serial_metrics, parallel_metrics);
+    }
 }
 
 TEST(ParallelDeterminism, SwarmReplicationHarnessMergesMetricsBitIdentically) {
-    auto serial_config = small_swarm_config();
+    const auto run = [](std::size_t threads, MetricsRegistry& merged) {
+        auto config = small_swarm_config();
+        config.metrics = &merged;
+        return swarm::run_swarm_replications(config, 5, ParallelPolicy{threads});
+    };
     MetricsRegistry serial_metrics;
-    serial_config.metrics = &serial_metrics;
-    const auto serial = swarm::run_swarm_replications(serial_config, 5, ParallelPolicy{1});
-
-    auto parallel_config = small_swarm_config();
-    MetricsRegistry parallel_metrics;
-    parallel_config.metrics = &parallel_metrics;
-    const auto parallel =
-        swarm::run_swarm_replications(parallel_config, 5, ParallelPolicy{4});
-
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].completion_times, parallel[i].completion_times);
-    }
+    const auto serial = run(1, serial_metrics);
     ASSERT_GT(serial_metrics.size(), 0u);
     EXPECT_GT(serial_metrics.find_counter("swarm.arrivals")->value(), 0u);
-    expect_registries_identical(serial_metrics, parallel_metrics);
-}
-
-TEST(ParallelDeterminism, ThreadCountBeyondReplicationsIsSafe) {
-    const auto serial = run_replications("mc", busy_period_body, 3, 1, ParallelPolicy{1});
-    const auto oversubscribed =
-        run_replications("mc", busy_period_body, 3, 1, ParallelPolicy{16});
-    expect_cells_identical(serial, oversubscribed);
+    for (const std::size_t threads : kThreadCounts) {
+        SCOPED_TRACE(threads);
+        MetricsRegistry parallel_metrics;
+        expect_swarm_runs_identical(serial, run(threads, parallel_metrics));
+        expect_registries_identical(serial_metrics, parallel_metrics);
+    }
 }
 
 }  // namespace

@@ -71,8 +71,8 @@ TEST(StreamingStats, MergeWithEmptyIsNoOp) {
 
 TEST(StreamingStats, PairwiseMergePinsCiAgainstSingleStream) {
     // Chan et al. pairwise merging across four chunks must reproduce the
-    // single-stream mean/variance/CI: this is what lets the parallel
-    // replication engine pool per-thread accumulators.
+    // single-stream mean/variance/CI: this is what lets Gauge::merge fold
+    // per-replication registries.
     StreamingStats all;
     StreamingStats chunks[4];
     for (int i = 0; i < 200; ++i) {
@@ -91,44 +91,10 @@ TEST(StreamingStats, PairwiseMergePinsCiAgainstSingleStream) {
     EXPECT_NEAR(chunks[0].sum(), all.sum(), 1e-9);
 }
 
-TEST(SampleSet, MergeMatchesSingleStreamExactly) {
-    // merge() is an ordered append, so every pooled statistic -- moments,
-    // quantiles, CI -- is bit-identical to one set fed the same sequence.
-    SampleSet merged;
-    SampleSet single;
-    std::vector<double> first{3.0, 1.0, 4.0};
-    std::vector<double> second{1.5, 9.0, 2.6, 5.0};
-    single.add_all(first);
-    single.add_all(second);
-    merged.merge(SampleSet{std::move(first)});
-    merged.merge(SampleSet{std::move(second)});
-    EXPECT_EQ(merged.samples(), single.samples());
-    EXPECT_DOUBLE_EQ(merged.mean(), single.mean());
-    EXPECT_DOUBLE_EQ(merged.variance(), single.variance());
-    EXPECT_DOUBLE_EQ(merged.quantile(0.25), single.quantile(0.25));
-    EXPECT_DOUBLE_EQ(merged.median(), single.median());
-    EXPECT_DOUBLE_EQ(merged.ci95_halfwidth(), single.ci95_halfwidth());
-}
-
-TEST(SampleSet, MergeEmptyCases) {
-    SampleSet set;
-    set.merge(SampleSet{});  // empty into empty
-    EXPECT_TRUE(set.empty());
-    set.merge(SampleSet{{2.0, 1.0}});  // into empty: takes the batch
-    EXPECT_EQ(set.size(), 2u);
-    EXPECT_DOUBLE_EQ(set.median(), 1.5);
-    SampleSet drained{{7.0}};
-    set.merge(std::move(drained));
-    EXPECT_EQ(set.size(), 3u);
-    set.merge(SampleSet{});  // empty into non-empty is a no-op
-    EXPECT_EQ(set.size(), 3u);
-    EXPECT_DOUBLE_EQ(set.max(), 7.0);
-}
-
-TEST(SampleSet, MergeInvalidatesCachedQuantiles) {
+TEST(SampleSet, AddInvalidatesCachedQuantiles) {
     SampleSet set{{1.0, 2.0, 3.0}};
     EXPECT_DOUBLE_EQ(set.median(), 2.0);  // forces the sorted cache
-    set.merge(SampleSet{{100.0}});
+    set.add(100.0);
     EXPECT_DOUBLE_EQ(set.median(), 2.5);
     EXPECT_DOUBLE_EQ(set.max(), 100.0);
 }
